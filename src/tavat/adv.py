@@ -52,10 +52,10 @@ class SpecialTokenPolicy:
             raise ConfigError(f"unknown special-token policy mode {self.mode!r}")
         object.__setattr__(self, "ids", frozenset(self.ids))
 
-    def permits(self, token_id: int) -> bool:
-        if self.mode == "exclude":
-            return token_id not in self.ids
-        return token_id in self.ids
+    def permits(self, token_ids):
+        """Whether each id may be written; one id gives one truth value, an array a mask."""
+        listed = np.isin(token_ids, list(self.ids))
+        return ~listed if self.mode == "exclude" else listed
 
 
 @dataclass
@@ -153,8 +153,8 @@ class StepReport:
 
 
 def example_norms(p: np.ndarray) -> np.ndarray:
-    """Per-example Frobenius norm over the trailing (length, dim) axes."""
-    return np.sqrt(np.sum(p * p, axis=(1, 2)))
+    """Frobenius norm of each sequence, over the trailing (length, dim) axes."""
+    return np.sqrt(np.sum(p * p, axis=(-2, -1)))
 
 
 def init_delta(shape, sigma: float, mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -168,46 +168,34 @@ def init_delta(shape, sigma: float, mask: np.ndarray, rng: np.random.Generator) 
 
 
 def project_frobenius(p: np.ndarray, epsilon: float) -> np.ndarray:
-    """Scale onto the epsilon ball; interior points come back untouched."""
+    """Scale each sequence outside the epsilon ball onto its surface.
+
+    ``p`` is one sequence (length, dim) or a batch (batch, length, dim).
+    Sequences inside the ball keep their values; when none lies outside,
+    ``p`` itself comes back.
+    """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    norm = math.sqrt(float(np.sum(p * p)))
-    if norm <= epsilon * (1.0 + PROJECT_SLACK):
+    norms = example_norms(p)[..., None, None]
+    outside = norms > epsilon * (1.0 + PROJECT_SLACK)
+    if not outside.any():
         return p
-    return p * (epsilon / norm)
-
-
-def project_frobenius_batch(p: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per-example projection over the trailing (length, dim) axes."""
-    norms = np.sqrt(np.sum(p * p, axis=(1, 2), keepdims=True))
-    factor = np.where(norms > epsilon * (1.0 + PROJECT_SLACK),
-                      epsilon / np.maximum(norms, NORM_FLOOR), 1.0)
-    return p * factor
+    return p * np.where(outside, epsilon / np.maximum(norms, NORM_FLOOR), 1.0)
 
 
 def scaling_index(eta: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Each token's perturbation norm over the sequence maximum.
+    """Each token's perturbation norm over the largest one in its sequence.
 
-    Padded positions get 0. When every norm sits below the floor the
-    unpadded indices all get 1, so a cold-start ascent step survives
+    ``eta`` is one sequence (length, dim) with a (length,) mask, or a
+    batch (batch, length, dim) with a (batch, length) mask. Padded
+    positions get 0. When every norm of a sequence sits below the floor
+    its unpadded indices all get 1, so a cold-start ascent step survives
     the rescale.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("scaling_index: sequence has no unpadded tokens")
-    norms = np.sqrt(np.sum(eta * eta, axis=-1))
-    peak = float(np.max(np.where(mask, norms, 0.0)))
-    if peak < NORM_FLOOR:
-        return mask.astype(np.float64)
-    return np.where(mask, norms / peak, 0.0)
-
-
-def scaling_index_batch(eta: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
     norms = np.sqrt(np.sum(eta * eta, axis=-1))
     peak = np.max(np.where(mask, norms, 0.0), axis=-1, keepdims=True)
-    cold = peak < NORM_FLOOR
-    n = np.where(cold, 1.0, norms / np.maximum(peak, NORM_FLOOR))
+    n = np.where(peak < NORM_FLOOR, 1.0, norms / np.maximum(peak, NORM_FLOOR))
     return np.where(mask, n, 0.0)
 
 
@@ -216,6 +204,20 @@ def _check_finite(name: str, arr: np.ndarray, step: int) -> None:
         bad = int(arr.size - np.isfinite(arr).sum())
         raise NonFiniteGradient(
             f"{name} has {bad} non-finite entries at inner step {step}; aborting")
+
+
+def _normalized_ascent(grad: np.ndarray, mask: np.ndarray, alpha: float, axis) -> np.ndarray:
+    """alpha times the unpadded gradient over its norm along ``axis``; 0 below the floor."""
+    g = np.where(mask[:, :, None], grad, 0.0)
+    gnorm = np.sqrt(np.sum(g * g, axis=axis, keepdims=True))
+    return np.where(gnorm >= NORM_FLOOR, alpha * g / np.maximum(gnorm, NORM_FLOOR), 0.0)
+
+
+def _project_unpadded(p: np.ndarray, epsilon: float, mask: np.ndarray) -> np.ndarray:
+    """Ball projection per sequence, then padded rows set to exactly zero."""
+    out = project_frobenius(p, epsilon)
+    out[~mask] = 0.0
+    return out
 
 
 def token_step(eta: np.ndarray, grad_eta: np.ndarray, alpha: float, epsilon: float,
@@ -230,24 +232,13 @@ def token_step(eta: np.ndarray, grad_eta: np.ndarray, alpha: float, epsilon: flo
     """
     mask = np.asarray(mask, dtype=bool)
     _check_finite("grad_eta", grad_eta, _step)
-    mask3 = mask[:, :, None]
-    g = np.where(mask3, grad_eta, 0.0)
-
     if use_token_norm:
-        gnorm = np.sqrt(np.sum(g * g, axis=2, keepdims=True))
-        step = np.where(gnorm >= NORM_FLOOR, alpha * g / np.maximum(gnorm, NORM_FLOOR), 0.0)
-        ascended = eta + step
-        basis = ascended if scale_from_ascended else eta
-        n = scaling_index_batch(basis, mask)
+        ascended = eta + _normalized_ascent(grad_eta, mask, alpha, -1)
+        n = scaling_index(ascended if scale_from_ascended else eta, mask)
         new = n[:, :, None] * ascended
     else:
-        gnorm = np.sqrt(np.sum(g * g, axis=(1, 2), keepdims=True))
-        step = np.where(gnorm >= NORM_FLOOR, alpha * g / np.maximum(gnorm, NORM_FLOOR), 0.0)
-        new = eta + step
-
-    new = project_frobenius_batch(new, epsilon)
-    new[~mask] = 0.0
-    return new
+        new = eta + _normalized_ascent(grad_eta, mask, alpha, (-2, -1))
+    return _project_unpadded(new, epsilon, mask)
 
 
 def instance_step(delta: np.ndarray, grad_delta: np.ndarray, alpha: float,
@@ -255,13 +246,8 @@ def instance_step(delta: np.ndarray, grad_delta: np.ndarray, alpha: float,
     """One whole-sequence-normalized ascent step with ball projection."""
     mask = np.asarray(mask, dtype=bool)
     _check_finite("grad_delta", grad_delta, _step)
-    g = np.where(mask[:, :, None], grad_delta, 0.0)
-    gnorm = np.sqrt(np.sum(g * g, axis=(1, 2), keepdims=True))
-    step = np.where(gnorm >= NORM_FLOOR, alpha * g / np.maximum(gnorm, NORM_FLOOR), 0.0)
-    new = delta + step
-    new = project_frobenius_batch(new, epsilon)
-    new[~mask] = 0.0
-    return new
+    new = delta + _normalized_ascent(grad_delta, mask, alpha, (-2, -1))
+    return _project_unpadded(new, epsilon, mask)
 
 
 def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,

@@ -27,9 +27,10 @@ class GraphError(RuntimeError):
 class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
-    ``grad`` accumulates additively across backward passes until
-    ``zero_grad`` is called. Intermediate results produced from tracked
-    inputs are themselves tracked so gradients can flow through them.
+    Intermediate results produced from tracked inputs are themselves
+    tracked so gradients can flow through them. ``grad`` is written on
+    leaves only (tensors no op produced) and accumulates additively
+    across backward passes until ``zero_grad`` is called.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op")
@@ -102,8 +103,9 @@ def topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Propagate d(loss)/d(tensor) to every tracked tensor under ``loss``.
 
-    Returns the gradient map keyed by tensor identity and also adds each
-    gradient into the tensor's ``grad`` slot (accumulating across calls).
+    Returns the gradient map keyed by tensor identity. Leaves also get
+    their gradient added into the ``grad`` slot (accumulating across
+    calls); intermediate results do not.
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -122,13 +124,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             prev = adjoint.get(parent)
             adjoint[parent] = contrib if prev is None else prev + contrib
 
-    grads: dict[Tensor, np.ndarray] = {}
     for tensor, adj in adjoint.items():
-        if not tensor.requires_grad:
-            continue
-        tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
-        grads[tensor] = adj
-    return grads
+        if tensor._vjp is None:
+            tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
+    return adjoint
 
 
 def _suffix_check(op: str, a: Tensor, b: Tensor) -> bool:
@@ -377,29 +376,3 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray | No
 
     return _track(out, (logits,), vjp, "cross_entropy_loss")
 
-
-OPS = {
-    "matmul": matmul,
-    "add": add,
-    "scale": scale,
-    "relu": relu,
-    "layer_norm": layer_norm,
-    "softmax": softmax,
-    "embedding_lookup": embedding_lookup,
-    "mask_fill": mask_fill,
-}
-
-
-def forward_op(kind: str, *inputs) -> Tensor:
-    """Dispatch one of the named forward ops; unknown kinds are rejected."""
-    try:
-        op = OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}; expected one of {sorted(OPS)}") from None
-    return op(*inputs)
-
-
-def assert_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.size(arr) - np.isfinite(arr).sum())
-        raise FloatingPointError(f"{name}: {bad} non-finite entries")

@@ -86,26 +86,21 @@ def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarr
 
     keep = mask & (ids != PAD_ID)
     if special_token_policy is not None:
-        keep &= np.fromiter((special_token_policy.permits(int(i)) for i in ids),
-                            dtype=bool, count=len(ids))
+        keep &= special_token_policy.permits(ids)
     if not keep.any():
         return vocab
 
-    sums = np.zeros_like(vocab.table)
-    counts = np.zeros(vocab.vocab_size)
-    np.add.at(sums, ids[keep], slices[keep])
-    np.add.at(counts, ids[keep], 1.0)
-    written = counts > 0
-    vocab.table[written] = sums[written] / counts[written, None]
+    rows, slot = np.unique(ids[keep], return_inverse=True)
+    sums = np.zeros((rows.size, vocab.dim))
+    np.add.at(sums, slot, slices[keep])
+    means = sums / np.bincount(slot)[:, None]
 
     bound = epsilon if epsilon is not None else vocab.meta.get("epsilon")
     if bound is not None:
-        norms = np.sqrt((vocab.table[written] ** 2).sum(axis=1, keepdims=True))
+        norms = np.sqrt((means ** 2).sum(axis=1, keepdims=True))
         over = norms > bound * (1.0 + 1e-12)
-        if over.any():
-            rows = vocab.table[written]
-            rows = np.where(over, rows * (bound / np.maximum(norms, 1e-300)), rows)
-            vocab.table[written] = rows
+        means = np.where(over, means * (bound / np.maximum(norms, 1e-300)), means)
+    vocab.table[rows] = means
     vocab.meta["steps_seen"] = vocab.meta.get("steps_seen", 0) + 1
     return vocab
 

@@ -4,8 +4,7 @@ import pytest
 
 from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPolicy,
                        example_norms, init_delta, instance_step, project_frobenius,
-                       project_frobenius_batch, scaling_index, scaling_index_batch,
-                       tavat_batch_step, token_step)
+                       scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
 from tavat.oracles import reference_freelb_step, token_step_reference
@@ -58,6 +57,11 @@ class TestConfig:
         assert excl.permits(5) and not excl.permits(2)
         incl = SpecialTokenPolicy("include", frozenset({2}))
         assert incl.permits(2) and not incl.permits(5)
+        ids = np.array([[5, 2, 0], [2, 7, 2]])
+        np.testing.assert_array_equal(excl.permits(ids), [[True, False, True],
+                                                          [False, True, False]])
+        np.testing.assert_array_equal(incl.permits(ids), ~excl.permits(ids))
+        assert SpecialTokenPolicy().permits(ids).all()
         with pytest.raises(ConfigError):
             SpecialTokenPolicy("banish", frozenset())
 
@@ -115,11 +119,18 @@ class TestProjection:
         assert project_frobenius(p, 1.0) is p
 
     def test_batch_variant_matches_per_example(self):
+        """A batch projects each sequence on its own; the input is left as it was."""
         rng = np.random.default_rng(3)
-        p = rng.normal(size=(5, 3, 4)) * 3
-        out = project_frobenius_batch(p, 1.0)
+        p = rng.normal(size=(5, 3, 4)) * rng.uniform(0.05, 1.0, size=(5, 1, 1))
+        before = p.copy()
+        out = project_frobenius(p, 1.0)
+        inside = example_norms(p) <= 1.0
+        assert inside.any() and not inside.all()
         for b in range(5):
             np.testing.assert_array_equal(out[b], project_frobenius(p[b], 1.0))
+        np.testing.assert_array_equal(p, before)
+        interior = p[inside]
+        assert project_frobenius(interior, 1.0) is interior
 
 
 class TestScalingIndex:
@@ -152,16 +163,12 @@ class TestScalingIndex:
         mask = np.array([True, True, False])
         np.testing.assert_array_equal(scaling_index(eta, mask), [1.0, 1.0, 0.0])
 
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError, match="no unpadded"):
-            scaling_index(np.zeros((2, 2)), np.zeros(2, dtype=bool))
-
     def test_batch_variant_matches_single(self):
         rng = np.random.default_rng(6)
         eta = rng.normal(size=(4, 5, 3))
         mask = rng.random((4, 5)) > 0.3
         mask[:, 0] = True
-        batch = scaling_index_batch(eta, mask)
+        batch = scaling_index(eta, mask)
         for b in range(4):
             np.testing.assert_array_equal(batch[b], scaling_index(eta[b], mask[b]))
 
@@ -172,7 +179,7 @@ class TestTokenStep:
         eta = rng.normal(size=(1, 4, 3)) * 0.1
         mask = np.ones((1, 4), dtype=bool)
         out = token_step(eta, np.zeros_like(eta), 0.3, 10.0, mask)
-        n = scaling_index_batch(eta, mask)
+        n = scaling_index(eta, mask)
         np.testing.assert_array_equal(out, n[:, :, None] * eta)
 
     def test_single_token_reduces_to_instance_step(self):

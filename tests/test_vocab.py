@@ -124,6 +124,38 @@ class TestScatter:
         changed = np.where(np.any(vocab.table != before, axis=1))[0]
         assert set(changed) <= {3, 6}
 
+    def test_matches_dense_reference_bitwise(self):
+        """Repeats, padding, an excluded id and the clamp against dense (N, D) sums."""
+        rng = np.random.default_rng(12)
+        n, d, bound = 40, 6, 0.5
+        excluded = {3, 7}
+        policy = SpecialTokenPolicy("exclude", frozenset(excluded))
+        clamped = set()
+        for _ in range(20):
+            vocab = init_vocabulary(n, d, 0.3, rng, meta={"epsilon": bound})
+            ids = rng.integers(1, 12, size=(4, 9))
+            mask = np.arange(9)[None, :] < rng.integers(1, 10, size=(4, 1))
+            ids[~mask] = 0
+            eta = rng.normal(size=(4, 9, d)) * rng.uniform(0.05, 0.5)
+
+            flat = ids.reshape(-1)
+            keep = mask.reshape(-1) & np.array([i != 0 and i not in excluded for i in flat])
+            sums, counts = np.zeros((n, d)), np.zeros(n)
+            np.add.at(sums, flat[keep], eta.reshape(-1, d)[keep])
+            np.add.at(counts, flat[keep], 1.0)
+            written = counts > 0
+            expected = vocab.table.copy()
+            expected[written] = sums[written] / counts[written, None]
+            rows = expected[written]
+            norms = np.sqrt((rows ** 2).sum(axis=1, keepdims=True))
+            over = norms > bound * (1.0 + 1e-12)
+            expected[written] = np.where(over, rows * (bound / norms), rows)
+            clamped.update(over.reshape(-1).tolist())
+
+            scatter(vocab, ids, mask, eta, special_token_policy=policy)
+            np.testing.assert_array_equal(vocab.table, expected)
+        assert clamped == {True, False}
+
 
 class TestPersistence:
     def make_vocab(self):
