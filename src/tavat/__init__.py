@@ -13,7 +13,7 @@ from .adv import (AccumulatedGradient, AdvConfig, PerturbationPair,
 from .data import (Batch, DatasetSpec, Example, Tokenizer, build_tokenizer,
                    generate_synthetic_classification, generate_synthetic_tagging,
                    load_delimited, make_batches, subsample)
-from .model import EmbeddingTable, ModelConfig, TextModel, load_checkpoint, save_checkpoint
+from .model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from .tensor import Tensor, backward, cross_entropy_loss
 from .train import TrainConfig, evaluate, run_ablation, train
 from .vocab import (PerturbationVocabulary, apply_to_embedding, gather,

@@ -120,16 +120,13 @@ class AccumulatedGradient:
     """Running parameter-gradient sum over the inner steps."""
 
     sums: dict = field(default_factory=dict)
-    steps: int = 0
 
     def add(self, named_grads, weight: float) -> None:
         for name, g in named_grads:
             self.sums[name] = self.sums.get(name, 0.0) + weight * g
-        self.steps += 1
 
     def replace(self, named_grads) -> None:
         self.sums = {name: g.copy() for name, g in named_grads}
-        self.steps += 1
 
 
 @dataclass
@@ -321,8 +318,6 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
             accum.replace(named)
         else:
             accum.add(named, inv_k)
-        for p in model.params.values():
-            p.grad = None
 
         if cfg.eta_active:
             eta = token_step(eta, grads[et], cfg.alpha, cfg.eta_bound, mask,

@@ -123,7 +123,8 @@ def main(argv=None) -> int:
     if args.command == "export-vocab":
         model = load_checkpoint(args.checkpoint)
         learned = load_vocabulary(args.vocab, expect_dim=model.config.dim)
-        model.set_embedding(apply_to_embedding(model.embedding_table, learned))
+        model.set_embedding(apply_to_embedding(
+            model.params["embedding.weight"].data, learned))
         save_checkpoint(model, args.out)
         print(f"embedding updated with perturbation vocabulary: {args.out}")
         return 0

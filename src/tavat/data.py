@@ -26,10 +26,6 @@ class Tokenizer:
     def vocab_size(self) -> int:
         return len(self.token_to_id)
 
-    @property
-    def special_ids(self) -> tuple[int, ...]:
-        return (PAD, CLS, SEP, UNK)
-
     def fingerprint(self) -> str:
         ordered = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
         blob = "\n".join(f"{tok}\t{idx}" for tok, idx in ordered)

@@ -46,21 +46,6 @@ class ModelConfig:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
 
 
-@dataclass
-class EmbeddingTable:
-    """N x D lookup weights; row 0 belongs to the padding token."""
-
-    weights: Tensor
-
-    @property
-    def vocab_size(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-
 MASK_FILL_VALUE = -1e9
 
 
@@ -115,16 +100,13 @@ class TextModel:
         linear("head", cfg.dim, cfg.classes)
         return params
 
-    @property
-    def embedding_table(self) -> EmbeddingTable:
-        return EmbeddingTable(self.params["embedding.weight"])
-
-    def set_embedding(self, table: EmbeddingTable) -> None:
+    def set_embedding(self, weights: np.ndarray) -> None:
+        """Replace the N x D embedding weights (row 0 is padding) with a copy."""
         current = self.params["embedding.weight"]
-        if table.weights.shape != current.shape:
+        if weights.shape != current.shape:
             raise T.ShapeError(
-                f"embedding shape mismatch: model {current.shape}, new {table.weights.shape}")
-        self.params["embedding.weight"] = Tensor(table.weights.data.copy(), requires_grad=True)
+                f"embedding shape mismatch: model {current.shape}, new {weights.shape}")
+        self.params["embedding.weight"] = Tensor(weights.copy(), requires_grad=True)
 
     def snapshot(self) -> "TextModel":
         copies = {name: Tensor(p.data.copy(), requires_grad=True)
@@ -221,6 +203,10 @@ CHECKPOINT_MAGIC = b"TAVM"
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointFormatError(ValueError):
+    """Corrupt, truncated, mis-versioned or over-long model checkpoint."""
+
+
 def save_checkpoint(model: TextModel, path) -> None:
     """Binary checkpoint: magic, version, hyperparameter block, named tensors."""
     buf = io.BytesIO()
@@ -246,20 +232,27 @@ def load_checkpoint(path) -> TextModel:
         raw = fh.read()
     view = io.BytesIO(raw)
     if view.read(4) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", view.read(4))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<I", view.read(4))
-    config = ModelConfig(**json.loads(view.read(hlen).decode("utf-8")))
-    (count,) = struct.unpack("<I", view.read(4))
-    params: dict[str, Tensor] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", view.read(4))
-        name = view.read(nlen).decode("utf-8")
-        (rank,) = struct.unpack("<I", view.read(4))
-        dims = struct.unpack(f"<{rank}I", view.read(4 * rank))
-        n = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(view.read(8 * n), dtype="<f8").reshape(dims)
-        params[name] = Tensor(data, requires_grad=True)
+        raise CheckpointFormatError(f"{path}: not a model checkpoint (bad magic)")
+    try:
+        (version,) = struct.unpack("<I", view.read(4))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+        (hlen,) = struct.unpack("<I", view.read(4))
+        config = ModelConfig(**json.loads(view.read(hlen).decode("utf-8")))
+        (count,) = struct.unpack("<I", view.read(4))
+        params: dict[str, Tensor] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<I", view.read(4))
+            name = view.read(nlen).decode("utf-8")
+            (rank,) = struct.unpack("<I", view.read(4))
+            dims = struct.unpack(f"<{rank}I", view.read(4 * rank))
+            n = int(np.prod(dims)) if rank else 1
+            data = np.frombuffer(view.read(8 * n), dtype="<f8").reshape(dims)
+            params[name] = Tensor(data, requires_grad=True)
+    except CheckpointFormatError:
+        raise
+    except (struct.error, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: truncated or corrupt checkpoint") from exc
+    if view.read(1):
+        raise CheckpointFormatError(f"{path}: trailing bytes after the last tensor")
     return TextModel(config, params=params)

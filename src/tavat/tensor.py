@@ -25,19 +25,22 @@ class GraphError(RuntimeError):
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient slot.
+    """A dense float64 array plus its links into the tape.
 
     Intermediate results produced from tracked inputs are themselves
-    tracked so gradients can flow through them. ``grad`` is written on
-    leaves only (tensors no op produced) and accumulates additively
-    across backward passes until ``zero_grad`` is called.
+    tracked so gradients can flow through them. A tensor holds no
+    gradient: ``backward`` returns them all in one map.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_op")
+
+    # Read-only: no slot backs it, so assigning ``.grad`` raises
+    # AttributeError. bench/tracing.py sums it as
+    # ``tensor.backward.grad_bytes`` until that metric leaves the benchmark.
+    grad = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
@@ -57,12 +60,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         op = f", op={self._op}" if self._op else ""
@@ -103,9 +100,9 @@ def topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Propagate d(loss)/d(tensor) to every tracked tensor under ``loss``.
 
-    Returns the gradient map keyed by tensor identity. Leaves also get
-    their gradient added into the ``grad`` slot (accumulating across
-    calls); intermediate results do not.
+    Returns the gradient map keyed by tensor identity. The map is the
+    only output: no tensor is written to, so repeated calls return equal
+    maps.
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -123,10 +120,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
                 continue
             prev = adjoint.get(parent)
             adjoint[parent] = contrib if prev is None else prev + contrib
-
-    for tensor, adj in adjoint.items():
-        if tensor._vjp is None:
-            tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
     return adjoint
 
 

@@ -253,7 +253,8 @@ def train(config: TrainConfig) -> TrainResult:
         learned = load_vocabulary(cfg.init_embedding_from_vocab,
                                   expect_dim=model_cfg.dim,
                                   expect_fingerprint=fingerprint)
-        model.set_embedding(apply_to_embedding(model.embedding_table, learned))
+        model.set_embedding(apply_to_embedding(
+            model.params["embedding.weight"].data, learned))
 
     vocab = None
     if cfg.adv.use_vocab:
@@ -312,8 +313,6 @@ def train(config: TrainConfig) -> TrainResult:
             dev_metric = _dev_metric(model, dev_batches)
             writer.emit({"kind": "eval", "epoch": -1, "metric": dev_metric,
                          "wall_time": time.time() - started})
-        if checkpoint_path is not None:
-            save_checkpoint(model, checkpoint_path)
         if cfg.save_ptb_vocab and vocab is not None and out_dir is not None:
             vocab_path = out_dir / "ptb_vocab.bin"
             save_vocabulary(vocab, vocab_path)

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EmbeddingTable
-from .tensor import Tensor
+from .data import PAD
 
 VOCAB_MAGIC = b"TAVV"
 VOCAB_VERSION = 1
-PAD_ID = 0
 
 
 class VocabularyFormatError(ValueError):
@@ -52,7 +50,7 @@ def init_vocabulary(n: int, d: int, sigma: float, rng: np.random.Generator,
     if n <= 0 or d <= 0:
         raise ValueError("vocabulary dimensions must be positive")
     table = rng.uniform(-sigma, sigma, size=(n, d)) / math.sqrt(d)
-    table[PAD_ID] = 0.0
+    table[PAD] = 0.0
     full_meta = {"sigma": sigma, "steps_seen": 0}
     if meta:
         full_meta.update(meta)
@@ -84,7 +82,7 @@ def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarr
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     slices = np.asarray(eta_final).reshape(-1, vocab.dim)
 
-    keep = mask & (ids != PAD_ID)
+    keep = mask & (ids != PAD)
     if special_token_policy is not None:
         keep &= special_token_policy.permits(ids)
     if not keep.any():
@@ -144,11 +142,10 @@ def load_vocabulary(path, expect_dim: int | None = None,
     return PerturbationVocabulary(table=table, meta=meta)
 
 
-def apply_to_embedding(embedding: EmbeddingTable,
-                       vocab: PerturbationVocabulary) -> EmbeddingTable:
-    """New embedding table with the learned perturbations added on."""
-    if embedding.weights.shape != vocab.table.shape:
+def apply_to_embedding(weights: np.ndarray, vocab: PerturbationVocabulary) -> np.ndarray:
+    """New N x D embedding weights with the learned perturbations added on."""
+    if weights.shape != vocab.table.shape:
         raise ValueError(
-            f"apply_to_embedding: embedding {embedding.weights.shape} vs "
+            f"apply_to_embedding: embedding {weights.shape} vs "
             f"vocabulary {vocab.table.shape}")
-    return EmbeddingTable(Tensor(embedding.weights.data + vocab.table, requires_grad=True))
+    return weights + vocab.table

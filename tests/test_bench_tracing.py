@@ -54,7 +54,5 @@ def test_traced_batch_step():
                  "vocab.scatter.ms", "vocab.scatter.rows_written",
                  "train.optimizer_step.ms"):
         assert metrics[name] > 0, name
-    # backward writes .grad on leaves only: the parameters and the two perturbations
-    perturbation_bytes = 2 * batch.token_ids.size * 16 * 8
-    leaf_bytes = sum(p.data.nbytes for p in model.params.values()) + perturbation_bytes
-    assert metrics["tensor.backward.grad_bytes"] == leaf_bytes
+    # backward returns its gradients and writes none onto tensors
+    assert metrics["tensor.backward.grad_bytes"] == 0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tavat import tensor as T
-from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
+from tavat.model import (CheckpointFormatError, ModelConfig, TextModel, load_checkpoint,
+                         save_checkpoint)
 from tavat.oracles import finite_difference_gradient
 from tavat.tensor import Tensor, backward
 
@@ -190,5 +191,29 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="bad magic"):
+        with pytest.raises(CheckpointFormatError, match="bad magic"):
+            load_checkpoint(path)
+
+    def test_truncated_or_extended_file_rejected(self, tmp_path):
+        model = small_model(seed=5, vocab_size=4, dim=2, encoder="mlp", ffn_dim=2,
+                            max_len=4, classes=2)
+        good = tmp_path / "model.bin"
+        save_checkpoint(model, good)
+        raw = good.read_bytes()
+        path = tmp_path / "bad.bin"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(small_model(seed=5), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)

@@ -138,18 +138,20 @@ class TestBackward:
         with pytest.raises(T.GraphError, match="no recorded operations"):
             backward(Tensor(1.0, requires_grad=True))
 
-    def test_gradient_accumulates_across_backward_calls(self):
-        """Leaves accumulate into .grad; intermediate results never get one."""
+    def test_backward_map_is_the_only_gradient_channel(self):
+        """Repeated backward calls return equal maps and write no tensor."""
         x = Tensor(np.arange(4.0), requires_grad=True)
         square = T.mul(x, x)
         loss = T.reduce_sum(square)
-        first = backward(loss)[x].copy()
-        backward(loss)
-        np.testing.assert_array_equal(x.grad, 2.0 * first)
-        assert square.grad is None and loss.grad is None
-        x.zero_grad()
-        backward(loss)
-        np.testing.assert_array_equal(x.grad, first)
+        first = backward(loss)
+        second = backward(loss)
+        assert first.keys() == second.keys()
+        for tensor in first:
+            np.testing.assert_array_equal(first[tensor], second[tensor])
+        for tensor in (x, square, loss):
+            assert tensor.grad is None
+            with pytest.raises(AttributeError):
+                tensor.grad = np.zeros_like(tensor.data)
 
     def test_diamond_graph_gradient(self):
         """Shared subexpressions accumulate both path contributions."""

@@ -1,5 +1,6 @@
 """Trainer: reproducibility, mode lattice, metrics stream, ablations, CLI."""
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -80,6 +81,23 @@ class TestTrainBasics:
         for name in init_model.params:
             np.testing.assert_array_equal(loaded.params[name].data,
                                           init_model.params[name].data)
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_checkpoint_written_at_step_zero_and_each_epoch(self, tmp_path, monkeypatch,
+                                                            epochs):
+        # the package re-exports the function ``train`` under the module's name
+        train_module = importlib.import_module("tavat.train")
+        real_save, calls = train_module.save_checkpoint, []
+
+        def counting_save(model, path):
+            calls.append(path)
+            real_save(model, path)
+
+        monkeypatch.setattr(train_module, "save_checkpoint", counting_save)
+        config = quick_config(tmp_path, run_name=f"saves{epochs}")
+        config.epochs = epochs
+        train(config)
+        assert len(calls) == epochs + 1
 
     def test_vocab_saved_when_requested(self, tmp_path):
         config = quick_config(tmp_path, run_name="vocabrun")
