@@ -4,12 +4,12 @@ A self-contained float64 training engine: a minimal reverse-mode
 autodiff tensor core, a small transformer (or MLP) text model with a
 perturbation injection point, the dual instance/token perturbation
 inner loop with a global per-token perturbation vocabulary, PGD and
-single-perturbation baselines as configuration reductions, and the
-oracles that certify all of it.
+single-perturbation baselines as configuration reductions. The
+oracles that certify all of it live with the tests, in tests/oracles.py.
 """
-from .adv import (AccumulatedGradient, AdvConfig, PerturbationPair,
-                  SpecialTokenPolicy, init_delta, instance_step,
-                  project_frobenius, scaling_index, tavat_batch_step, token_step)
+from .adv import (AccumulatedGradient, AdvConfig, SpecialTokenPolicy, init_delta,
+                  instance_step, project_frobenius, scaling_index, tavat_batch_step,
+                  token_step)
 from .data import (Batch, DatasetSpec, Example, Tokenizer, build_tokenizer,
                    generate_synthetic_classification, generate_synthetic_tagging,
                    load_delimited, make_batches, subsample)

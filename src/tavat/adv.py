@@ -72,7 +72,6 @@ class AdvConfig:
     special_token_policy: SpecialTokenPolicy = field(default_factory=SpecialTokenPolicy)
     mode: str = "tavat"                    # "tavat" | "freelb" | "pgd"
     eta_epsilon: float | None = None       # optional separate bound for the token perturbation
-    scale_from_ascended: bool = False      # alternative scaling-index reading
 
     def validate(self) -> None:
         if self.epsilon <= 0:
@@ -106,16 +105,6 @@ class AdvConfig:
 
 
 @dataclass
-class PerturbationPair:
-    """Instance- and token-level perturbations for one batch."""
-
-    delta: np.ndarray | None
-    eta: np.ndarray | None
-    token_ids: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass
 class AccumulatedGradient:
     """Running parameter-gradient sum over the inner steps."""
 
@@ -131,22 +120,17 @@ class AccumulatedGradient:
 
 @dataclass
 class StepReport:
-    """What one batch step did: losses, norms, gradient, instrumentation."""
+    """What one batch step did.
+
+    ``deltas`` and ``etas`` hold K + 1 perturbations: the one each inner
+    step evaluated at, then the final one. A list is empty when its
+    perturbation is off.
+    """
 
     losses: list
-    delta_norm_trace: list
-    eta_norm_trace: list
+    deltas: list
+    etas: list
     grad: AccumulatedGradient
-    counters: dict
-    recorded: list
-
-    @property
-    def final_delta_norms(self):
-        return self.delta_norm_trace[-1] if self.delta_norm_trace else None
-
-    @property
-    def final_eta_norms(self):
-        return self.eta_norm_trace[-1] if self.eta_norm_trace else None
 
 
 def example_norms(p: np.ndarray) -> np.ndarray:
@@ -218,8 +202,7 @@ def _project_unpadded(p: np.ndarray, epsilon: float, mask: np.ndarray) -> np.nda
 
 
 def token_step(eta: np.ndarray, grad_eta: np.ndarray, alpha: float, epsilon: float,
-               mask: np.ndarray, use_token_norm: bool = True,
-               scale_from_ascended: bool = False, _step: int = 0) -> np.ndarray:
+               mask: np.ndarray, use_token_norm: bool = True, _step: int = 0) -> np.ndarray:
     """One ascent step of the token-level perturbation.
 
     Per-token normalized gradient step, rescale by the scaling index
@@ -231,7 +214,7 @@ def token_step(eta: np.ndarray, grad_eta: np.ndarray, alpha: float, epsilon: flo
     _check_finite("grad_eta", grad_eta, _step)
     if use_token_norm:
         ascended = eta + _normalized_ascent(grad_eta, mask, alpha, -1)
-        n = scaling_index(ascended if scale_from_ascended else eta, mask)
+        n = scaling_index(eta, mask)
         new = n[:, :, None] * ascended
     else:
         new = eta + _normalized_ascent(grad_eta, mask, alpha, (-2, -1))
@@ -248,8 +231,7 @@ def instance_step(delta: np.ndarray, grad_delta: np.ndarray, alpha: float,
 
 
 def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
-                     cfg: AdvConfig, optimizer, rng: np.random.Generator,
-                     record: bool = False) -> StepReport:
+                     cfg: AdvConfig, optimizer, rng: np.random.Generator) -> StepReport:
     """One full batch step: init, K ascent steps, vocabulary and parameter update.
 
     Parameters and vocabulary are only mutated after the whole inner loop
@@ -269,25 +251,16 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
 
     delta = init_delta(shape, cfg.sigma, mask, rng) if cfg.delta_active else None
     eta = None
-    counters = {
-        "eta_vocab_init": 0, "eta_random_init": 0,
-        "token_norm_steps": 0, "whole_seq_eta_steps": 0,
-        "delta_steps": 0, "vocab_scatters": 0,
-    }
     if cfg.eta_active:
-        if cfg.use_vocab:
-            eta = gather(vocab, ids, mask)
-            counters["eta_vocab_init"] += 1
-        else:
-            eta = init_delta(shape, cfg.sigma, mask, rng)
-            counters["eta_random_init"] += 1
+        eta = (gather(vocab, ids, mask) if cfg.use_vocab
+               else init_delta(shape, cfg.sigma, mask, rng))
 
     accum = AccumulatedGradient()
     inv_k = 1.0 / cfg.K
     losses: list[float] = []
-    delta_trace: list[np.ndarray] = []
-    eta_trace: list[np.ndarray] = []
-    recorded: list[tuple] = []
+    # each step rebinds delta and eta to new arrays, so these hold no copies
+    deltas = [delta] if cfg.delta_active else []
+    etas = [eta] if cfg.eta_active else []
 
     for t in range(cfg.K):
         x = model.embed(batch)
@@ -299,11 +272,6 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         if cfg.eta_active:
             et = Tensor(eta, requires_grad=True)
             perturbed = T.add(perturbed, et)
-        if record:
-            recorded.append(PerturbationPair(
-                delta=delta.copy() if delta is not None else None,
-                eta=eta.copy() if eta is not None else None,
-                token_ids=ids, mask=mask))
 
         logits = model.forward_from_embeddings(perturbed, mask, train=True)
         loss = model.loss(logits, batch)
@@ -321,24 +289,15 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
 
         if cfg.eta_active:
             eta = token_step(eta, grads[et], cfg.alpha, cfg.eta_bound, mask,
-                             use_token_norm=cfg.use_token_norm,
-                             scale_from_ascended=cfg.scale_from_ascended, _step=t)
-            if cfg.use_token_norm:
-                counters["token_norm_steps"] += 1
-            else:
-                counters["whole_seq_eta_steps"] += 1
-            eta_trace.append(example_norms(eta))
+                             use_token_norm=cfg.use_token_norm, _step=t)
+            etas.append(eta)
         if cfg.delta_active:
             delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
-            counters["delta_steps"] += 1
-            delta_trace.append(example_norms(delta))
+            deltas.append(delta)
 
     if cfg.eta_active and cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
                 epsilon=cfg.eta_bound)
-        counters["vocab_scatters"] += 1
     optimizer.step(model.params, accum.sums)
 
-    return StepReport(losses=losses, delta_norm_trace=delta_trace,
-                      eta_norm_trace=eta_trace, grad=accum,
-                      counters=counters, recorded=recorded)
+    return StepReport(losses=losses, deltas=deltas, etas=etas, grad=accum)

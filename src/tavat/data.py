@@ -20,7 +20,6 @@ SPECIAL_TOKENS = ("<pad>", "<cls>", "<sep>", "<unk>")
 @dataclass
 class Tokenizer:
     token_to_id: dict[str, int]
-    lowercase: bool = False
 
     @property
     def vocab_size(self) -> int:
@@ -37,8 +36,6 @@ class Tokenizer:
             tokens = text_or_tokens.split()
         else:
             tokens = list(text_or_tokens)
-        if self.lowercase:
-            tokens = [t.lower() for t in tokens]
         ids = [self.token_to_id.get(t, UNK) for t in tokens]
         if max_len is not None:
             if max_len < 2:
@@ -47,7 +44,7 @@ class Tokenizer:
         return [CLS] + ids + [SEP]
 
 
-def build_tokenizer(corpus_or_tokens, lowercase: bool = False) -> Tokenizer:
+def build_tokenizer(corpus_or_tokens) -> Tokenizer:
     """Word-level tokenizer from raw text lines or an explicit token list.
 
     Non-special ids follow first-occurrence order, which makes the
@@ -59,15 +56,13 @@ def build_tokenizer(corpus_or_tokens, lowercase: bool = False) -> Tokenizer:
         words = []
         for item in corpus_or_tokens:
             words.extend(item.split() if " " in item else [item])
-    if lowercase:
-        words = [w.lower() for w in words]
     if not words:
         raise ValueError("cannot build a tokenizer from an empty corpus")
     mapping = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
     for w in words:
         if w not in mapping:
             mapping[w] = len(mapping)
-    return Tokenizer(mapping, lowercase=lowercase)
+    return Tokenizer(mapping)
 
 
 @dataclass
@@ -140,15 +135,6 @@ def generate_synthetic_classification(n: int, seed: int, noise: float,
             label = int((true_class + 1 + rng.integers(classes - 1)) % classes)
         examples.append(Example(tokens=tokens, label=label))
     return examples
-
-
-def cue_majority_oracle(tokens: list[str], classes: int = 2) -> int:
-    """Bag-of-cue-words classifier used to sanity-check generated data."""
-    counts = [0] * classes
-    for t in tokens:
-        if t.startswith("cue"):
-            counts[int(t[3: t.index("_")])] += 1
-    return int(np.argmax(counts))
 
 
 TAG_TYPES = ("T0", "T1")

@@ -247,7 +247,7 @@ def load_checkpoint(path) -> TextModel:
             (rank,) = struct.unpack("<I", view.read(4))
             dims = struct.unpack(f"<{rank}I", view.read(4 * rank))
             n = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(view.read(8 * n), dtype="<f8").reshape(dims)
+            data = np.frombuffer(view.read(8 * n), dtype="<f8").reshape(dims).copy()
             params[name] = Tensor(data, requires_grad=True)
     except CheckpointFormatError:
         raise

@@ -13,12 +13,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .adv import AdvConfig, SpecialTokenPolicy, tavat_batch_step
+from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1)
 from .model import ModelConfig, TextModel, save_checkpoint
@@ -102,7 +101,6 @@ class TrainConfig:
     save_ptb_vocab: bool = True        # written only when the vocabulary is in use
     init_embedding_from_vocab: str | None = None
     emit_metrics: bool = True
-    eval_train: bool = False           # also score the train split at each eval
 
     def resolved_out_dir(self) -> Path:
         root = self.out_dir or os.environ.get("TAVAT_OUT_DIR", "runs")
@@ -219,6 +217,18 @@ def evaluate(model: TextModel, batches) -> dict:
     return {"accuracy": correct / total}
 
 
+def _step_record(report, epoch: int, b_index: int, wall_time: float) -> dict:
+    """The metrics record of one batch step, with the final perturbations' norms."""
+    record = {"kind": "step", "epoch": epoch, "batch": b_index,
+              "losses": [round(v, 10) for v in report.losses], "wall_time": wall_time}
+    for name, trajectory in (("delta", report.deltas), ("eta", report.etas)):
+        if trajectory:
+            norms = example_norms(trajectory[-1])
+            record[f"{name}_norm_max"] = float(norms.max())
+            record[f"{name}_norm_mean"] = float(norms.mean())
+    return record
+
+
 def train(config: TrainConfig) -> TrainResult:
     """Run a full training job as configured; everything is seed-determined."""
     cfg = config
@@ -284,28 +294,14 @@ def train(config: TrainConfig) -> TrainResult:
             batches = make_batches(encoded_train, cfg.batch_size,
                                    seed=cfg.seeds.data + epoch, shuffle=True)
             for b_index, batch in enumerate(batches):
-                report = tavat_batch_step(model, batch, vocab, cfg.adv,
-                                          optimizer, rng_adv)
-                record = {
-                    "kind": "step", "epoch": epoch, "batch": b_index,
-                    "losses": [round(v, 10) for v in report.losses],
-                    "wall_time": time.time() - started,
-                }
-                if report.final_delta_norms is not None:
-                    record["delta_norm_max"] = float(report.final_delta_norms.max())
-                    record["delta_norm_mean"] = float(report.final_delta_norms.mean())
-                if report.final_eta_norms is not None:
-                    record["eta_norm_max"] = float(report.final_eta_norms.max())
-                    record["eta_norm_mean"] = float(report.final_eta_norms.mean())
-                writer.emit(record)
+                # no name holds the report, so its gradient is freed before the next step
+                writer.emit(_step_record(
+                    tavat_batch_step(model, batch, vocab, cfg.adv, optimizer, rng_adv),
+                    epoch, b_index, time.time() - started))
             if dev_batches:
                 dev_metric = _dev_metric(model, dev_batches)
-                record = {"kind": "eval", "epoch": epoch, "metric": dev_metric,
-                          "wall_time": time.time() - started}
-                if cfg.eval_train:
-                    record["train_metric"] = _dev_metric(
-                        model, make_batches(encoded_train, cfg.batch_size))
-                writer.emit(record)
+                writer.emit({"kind": "eval", "epoch": epoch, "metric": dev_metric,
+                             "wall_time": time.time() - started})
                 history.append({"epoch": epoch, "dev_metric": dev_metric})
             if checkpoint_path is not None:
                 save_checkpoint(model, checkpoint_path)
@@ -361,15 +357,14 @@ def _with_toggles(config: TrainConfig, ptb_vocab: bool | None = None,
     return cfg
 
 
-def run_ablation(config: TrainConfig, grid: str | dict = "table5",
+def run_ablation(config: TrainConfig, grid: str = "table5",
                  seeds: list[int] | None = None) -> list[dict]:
     """One run per toggle combination and seed, joined into one table.
 
-    ``grid`` is a preset name or a dict of toggle-name -> list of values
-    (supported toggles: ptb_vocab, tok_norm, special_tokens); the cross
-    product defines the rows. All arms share the data seed so they see
-    identical batches; the init and adversarial seeds vary only across
-    replication seeds, never across arms.
+    ``grid`` is "table5" (vocabulary x token norm) or "table6" (which
+    token groups write the vocabulary). All arms share the data seed so
+    they see identical batches; the init and adversarial seeds vary only
+    across replication seeds, never across arms.
     """
     seeds = seeds or [1, 2, 3]
     rows = []
@@ -377,12 +372,6 @@ def run_ablation(config: TrainConfig, grid: str | dict = "table5",
         combos = [{"ptb_vocab": v, "tok_norm": t} for v, t in TABLE5_GRID]
     elif grid == "table6":
         combos = [{"special_tokens": st} for st in TABLE6_GRID]
-    elif isinstance(grid, dict):
-        unsupported = set(grid) - {"ptb_vocab", "tok_norm", "special_tokens"}
-        if unsupported:
-            raise ValueError(f"unsupported ablation toggles: {sorted(unsupported)}")
-        names = list(grid)
-        combos = [dict(zip(names, values)) for values in product(*grid.values())]
     else:
         raise ValueError(f"unknown ablation grid {grid!r}")
 

@@ -124,14 +124,19 @@ def load_vocabulary(path, expect_dim: int | None = None,
     if view.read(4) != VOCAB_MAGIC:
         raise VocabularyFormatError(f"{path}: not a perturbation vocabulary (bad magic)")
     try:
-        version, n, d = struct.unpack("<III", view.read(12))
+        (version,) = struct.unpack("<I", view.read(4))
+        if version != VOCAB_VERSION:
+            raise VocabularyFormatError(f"{path}: unsupported vocabulary version {version}")
+        n, d = struct.unpack("<II", view.read(8))
         table = np.frombuffer(view.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
         (tlen,) = struct.unpack("<I", view.read(4))
         meta = json.loads(view.read(tlen).decode("utf-8"))
+    except VocabularyFormatError:
+        raise
     except (struct.error, ValueError) as exc:
         raise VocabularyFormatError(f"{path}: truncated or corrupt vocabulary") from exc
-    if version != VOCAB_VERSION:
-        raise VocabularyFormatError(f"{path}: unsupported vocabulary version {version}")
+    if view.read(1):
+        raise VocabularyFormatError(f"{path}: trailing bytes after the metadata")
     if expect_fingerprint is not None and meta.get("fingerprint") != expect_fingerprint:
         raise FingerprintMismatch(
             f"{path}: tokenizer fingerprint {meta.get('fingerprint')!r} "

@@ -4,7 +4,8 @@ Nothing here shares loop or projection logic with the training engine:
 gradients come from central differences, the inner maximization from an
 exhaustive grid, the token update from scalar per-token arithmetic, and
 the single-perturbation baseline from a standalone transcription of the
-K-step accumulate-and-project loop. They certify, they do not scale.
+K-step accumulate-and-project loop, and the synthetic labels from a
+cue-word count. They certify, they do not scale.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, backward, cross_entropy_loss
+from tavat.tensor import Tensor, add, backward, cross_entropy_loss
 
 
 @dataclass
@@ -45,6 +46,15 @@ class OracleReport:
             f"oracle={self.oracle_value:.12g} abs={self.abs_error:.3g} "
             f"rel={self.rel_error:.3g} tol={self.tolerance:g}"
         )
+
+
+def cue_majority_oracle(tokens: list[str], classes: int = 2) -> int:
+    """Bag-of-cue-words classifier used to sanity-check generated data."""
+    counts = [0] * classes
+    for t in tokens:
+        if t.startswith("cue"):
+            counts[int(t[3: t.index("_")])] += 1
+    return int(np.argmax(counts))
 
 
 def finite_difference_gradient(f, x: np.ndarray, coords, h: float = 1e-5) -> np.ndarray:
@@ -130,8 +140,7 @@ def grid_inner_max(f, epsilon: float, dims: int, pitch: float,
     return best_point, best_value
 
 
-def token_step_reference(eta, grad, alpha, epsilon, mask,
-                         use_token_norm=True, scale_from_ascended=False):
+def token_step_reference(eta, grad, alpha, epsilon, mask, use_token_norm=True):
     """Scalar-arithmetic recomputation of one token-level update.
 
     Operates on a single sequence (length x dim) with explicit Python
@@ -159,8 +168,7 @@ def token_step_reference(eta, grad, alpha, epsilon, mask,
         ascended[i] = eta[i] + step
 
     if use_token_norm:
-        basis = ascended if scale_from_ascended else eta
-        norms = [fro(basis[i]) if mask[i] else 0.0 for i in range(length)]
+        norms = [fro(eta[i]) if mask[i] else 0.0 for i in range(length)]
         peak = max((norms[i] for i in range(length) if mask[i]), default=0.0)
         out = np.zeros_like(eta)
         for i in range(length):

@@ -2,15 +2,16 @@
 import numpy as np
 import pytest
 
+from tavat import adv
 from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPolicy,
                        example_norms, init_delta, instance_step, project_frobenius,
                        scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
-from tavat.oracles import reference_freelb_step, token_step_reference
 from tavat.tensor import backward
-from tavat.train import SGD
+from tavat.train import SGD, _step_record
 from tavat.vocab import init_vocabulary
+from oracles import reference_freelb_step, token_step_reference
 
 
 def make_batch(n=6, seed=7, batch_size=6, max_len=16):
@@ -197,14 +198,10 @@ class TestTokenStep:
         grad = np.array([[[1.0, 2.0], [-0.5, 0.25]]])
         mask = np.ones((1, 2), dtype=bool)
         for tok_norm in (True, False):
-            for from_ascended in (False, True):
-                engine = token_step(eta, grad, 0.7, 0.4, mask,
-                                    use_token_norm=tok_norm,
-                                    scale_from_ascended=from_ascended)
-                oracle = token_step_reference(eta[0], grad[0], 0.7, 0.4, mask[0],
-                                              use_token_norm=tok_norm,
-                                              scale_from_ascended=from_ascended)
-                assert np.abs(engine[0] - oracle).max() <= 1e-12
+            engine = token_step(eta, grad, 0.7, 0.4, mask, use_token_norm=tok_norm)
+            oracle = token_step_reference(eta[0], grad[0], 0.7, 0.4, mask[0],
+                                          use_token_norm=tok_norm)
+            assert np.abs(engine[0] - oracle).max() <= 1e-12
 
     def test_random_cases_against_scalar_oracle(self):
         rng = np.random.default_rng(9)
@@ -335,9 +332,9 @@ class TestBatchStep:
         cfg = AdvConfig(mode="pgd", use_vocab=False, use_token_norm=False,
                         epsilon=0.5, sigma=0.01, alpha=0.2, K=3)
         report = tavat_batch_step(model.snapshot(), batch, None, cfg, SGD(0.05),
-                                  np.random.default_rng(5), record=True)
-        # recompute the parameter gradient at the last recorded perturbation
-        delta_last = report.recorded[-1].delta
+                                  np.random.default_rng(5))
+        # recompute the parameter gradient where the last inner step evaluated
+        delta_last = report.deltas[-2]
         probe = model.snapshot()
         from tavat import tensor as T
         from tavat.tensor import Tensor
@@ -358,12 +355,12 @@ class TestBatchStep:
         vocab = init_vocabulary(tok.vocab_size, 16, 0.0, np.random.default_rng(6),
                                 meta={"epsilon": 1.0})
         rng = np.random.default_rng(7)
-        tavat_batch_step(model, batch, vocab, cfg, SGD(0.0), rng, record=True)
+        tavat_batch_step(model, batch, vocab, cfg, SGD(0.0), rng)
         table_after_first = vocab.table.copy()
-        second = tavat_batch_step(model, batch, vocab, cfg, SGD(0.0), rng, record=True)
+        second = tavat_batch_step(model, batch, vocab, cfg, SGD(0.0), rng)
         # eta0 of the second call must equal scatter(final eta of the first):
         # for ids occurring once the stored row is exactly the final slice.
-        eta0_second = second.recorded[0].eta
+        eta0_second = second.etas[0]
         unique, counts = np.unique(ids[batch.mask], return_counts=True)
         singles = set(unique[counts == 1])
         checked = 0
@@ -383,8 +380,8 @@ class TestBatchStep:
                                 np.random.default_rng(8), meta={"epsilon": 0.3})
         report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
                                   np.random.default_rng(9))
-        for norms in report.delta_norm_trace + report.eta_norm_trace:
-            assert norms.max() <= 0.3 + 1e-9
+        for p in report.deltas[1:] + report.etas[1:]:
+            assert example_norms(p).max() <= 0.3 + 1e-9
 
     def test_padding_neutrality(self):
         """delta, eta, and their gradients stay exactly zero off-mask."""
@@ -395,10 +392,9 @@ class TestBatchStep:
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
                                 np.random.default_rng(10), meta={"epsilon": 1.0})
         report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
-                                  np.random.default_rng(11), record=True)
-        for pair in report.recorded:
-            assert (pair.delta[~batch.mask] == 0.0).all()
-            assert (pair.eta[~batch.mask] == 0.0).all()
+                                  np.random.default_rng(11))
+        for p in report.deltas + report.etas:
+            assert (p[~batch.mask] == 0.0).all()
         # gradients at padded positions are exactly zero by mask construction
         from tavat import tensor as T
         from tavat.tensor import Tensor
@@ -417,13 +413,13 @@ class TestBatchStep:
                                 np.random.default_rng(12), meta={"epsilon": 1.0})
         before = model.snapshot()
         report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
-                                  np.random.default_rng(13), record=True)
+                                  np.random.default_rng(13))
         from tavat import tensor as T
         from tavat.tensor import Tensor
         recomputed = {name: 0.0 for name in before.params}
-        for pair in report.recorded:
+        for delta, eta in zip(report.deltas[:-1], report.etas[:-1]):
             x = before.embed(batch)
-            perturbed = T.add(T.add(x, Tensor(pair.delta)), Tensor(pair.eta))
+            perturbed = T.add(T.add(x, Tensor(delta)), Tensor(eta))
             grads = backward(before.loss(
                 before.forward_from_embeddings(perturbed, batch.mask), batch))
             for name, p in before.params.items():
@@ -448,29 +444,56 @@ class TestBatchStep:
             np.testing.assert_array_equal(
                 p.data[~np.isnan(p.data)], params_before[name][~np.isnan(params_before[name])])
 
-    def test_counters_are_orthogonal(self):
+    def test_toggles_are_orthogonal(self, monkeypatch):
         """Flipping ptb_vocab leaves token-norm-gated paths untouched and vice versa."""
         tok, batch = make_batch()
+        calls = []
+        for name in ("gather", "scatter", "token_step"):
+            def spy(*args, _name=name, _fn=getattr(adv, name), **kwargs):
+                calls.append((_name, kwargs.get("use_token_norm")))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(adv, name, spy)
 
-        def counters_for(use_vocab, use_token_norm):
-            model = make_model(tok, seed=10)
+        def calls_for(use_vocab, use_token_norm):
+            calls.clear()
             cfg = AdvConfig(epsilon=1.0, sigma=0.01, alpha=0.3, K=2,
                             use_vocab=use_vocab, use_token_norm=use_token_norm)
             vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
                                     np.random.default_rng(16),
                                     meta={"epsilon": 1.0}) if use_vocab else None
-            report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
-                                      np.random.default_rng(17))
-            return report.counters
+            tavat_batch_step(make_model(tok, seed=10), batch, vocab, cfg, SGD(0.05),
+                             np.random.default_rng(17))
+            steps = [c for c in calls if c[0] == "token_step"]
+            return steps, [c for c in calls if c[0] != "token_step"]
 
-        vocab_on = counters_for(True, True)
-        vocab_off = counters_for(False, True)
-        assert vocab_on["token_norm_steps"] == vocab_off["token_norm_steps"]
-        assert vocab_on["whole_seq_eta_steps"] == vocab_off["whole_seq_eta_steps"]
-        norm_on = counters_for(True, True)
-        norm_off = counters_for(True, False)
-        assert norm_on["eta_vocab_init"] == norm_off["eta_vocab_init"]
-        assert norm_on["vocab_scatters"] == norm_off["vocab_scatters"]
+        on, vocab_off = calls_for(True, True), calls_for(False, True)
+        norm_off = calls_for(True, False)
+        assert on[0] == vocab_off[0] == [("token_step", True)] * 2
+        assert on[1] == norm_off[1] == [("gather", None), ("scatter", None)]
+        assert vocab_off[1] == [] and norm_off[0] == [("token_step", False)] * 2
+
+    @pytest.mark.parametrize("mode", ["tavat", "freelb"])
+    def test_report_holds_the_perturbation_trajectory(self, mode):
+        """K + 1 distinct perturbations per active kind; the step record reads the last."""
+        tok, batch = make_batch()
+        on = mode == "tavat"
+        cfg = AdvConfig(epsilon=0.5, sigma=0.05, alpha=0.2, K=3, mode=mode,
+                        use_vocab=on, use_token_norm=on)
+        vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma, np.random.default_rng(20),
+                                meta={"epsilon": 0.5}) if on else None
+        report = tavat_batch_step(make_model(tok, seed=12), batch, vocab, cfg, SGD(0.05),
+                                  np.random.default_rng(21))
+        record = _step_record(report, 0, 0, 0.0)
+        for name, trajectory, active in (("delta", report.deltas, True),
+                                         ("eta", report.etas, on)):
+            assert len(trajectory) == (cfg.K + 1 if active else 0)
+            assert len({id(p) for p in trajectory}) == len(trajectory)
+            if active:
+                norms = example_norms(trajectory[-1])
+                assert record[f"{name}_norm_max"] == float(norms.max())
+                assert record[f"{name}_norm_mean"] == float(norms.mean())
+            else:
+                assert f"{name}_norm_max" not in record
 
     def test_requires_vocab_when_enabled(self):
         tok, batch = make_batch()
@@ -488,6 +511,6 @@ class TestBatchStep:
                                 np.random.default_rng(18), meta={"epsilon": 0.1})
         report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
                                   np.random.default_rng(19))
-        assert max(n.max() for n in report.eta_norm_trace) <= 0.1 + 1e-9
-        assert max(n.max() for n in report.delta_norm_trace) <= 1.0 + 1e-9
-        assert max(n.max() for n in report.delta_norm_trace) > 0.1
+        assert max(example_norms(p).max() for p in report.etas[1:]) <= 0.1 + 1e-9
+        assert max(example_norms(p).max() for p in report.deltas[1:]) <= 1.0 + 1e-9
+        assert max(example_norms(p).max() for p in report.deltas[1:]) > 0.1

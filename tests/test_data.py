@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from tavat.data import (CLS, PAD, SEP, UNK, Batch, DatasetSpec, build_dataset,
-                        build_tokenizer, cue_majority_oracle, encode_examples,
+                        build_tokenizer, encode_examples,
                         generate_synthetic_classification, generate_synthetic_tagging,
                         label_histogram, load_delimited, make_batches, span_f1,
                         spans_from_tags, subsample, tagging_tag_names)
+from oracles import cue_majority_oracle
 
 
 class TestTokenizer:
@@ -35,10 +36,6 @@ class TestTokenizer:
         ids = tok.encode("a b c d e f g h", max_len=5)
         assert len(ids) == 5
         assert ids[0] == CLS and ids[-1] == SEP
-
-    def test_lowercase_policy(self):
-        tok = build_tokenizer("Hello World", lowercase=True)
-        assert tok.encode("HELLO") == [CLS, tok.token_to_id["hello"], SEP]
 
 
 class TestSyntheticClassification:

@@ -7,8 +7,8 @@ import pytest
 from tavat import tensor as T
 from tavat.model import (CheckpointFormatError, ModelConfig, TextModel, load_checkpoint,
                          save_checkpoint)
-from tavat.oracles import finite_difference_gradient
 from tavat.tensor import Tensor, backward
+from oracles import finite_difference_gradient
 
 
 @dataclass
@@ -208,6 +208,12 @@ class TestCheckpoint:
         path.write_bytes(raw + b"\x00")
         with pytest.raises(CheckpointFormatError, match="trailing bytes"):
             load_checkpoint(path)
+
+    def test_loaded_parameters_are_writable(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(small_model(seed=5), path)
+        for p in load_checkpoint(path).params.values():
+            p.data += 1.0
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.bin"

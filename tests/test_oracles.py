@@ -5,9 +5,9 @@ import pytest
 from tavat.adv import AdvConfig
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
-from tavat.oracles import (OracleReport, finite_difference_gradient, grid_inner_max,
-                           reference_freelb_step, token_step_reference)
 from tavat.tensor import backward
+from oracles import (OracleReport, finite_difference_gradient, grid_inner_max,
+                     reference_freelb_step, token_step_reference)
 
 
 class TestFiniteDifference:

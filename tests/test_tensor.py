@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from tavat import tensor as T
-from tavat.oracles import finite_difference_gradient
 from tavat.tensor import Tensor, backward, cross_entropy_loss, topo_order
+from oracles import finite_difference_gradient
 
 
 class TestForwardOps:

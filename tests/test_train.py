@@ -278,21 +278,9 @@ class TestAblation:
         assert len(rows) == 3
         assert all("special_tokens" in r for r in rows)
 
-    def test_explicit_toggle_grid(self, tmp_path):
-        config = quick_config(tmp_path, run_name="ablatedict")
-        config.epochs = 1
-        config.dataset = DatasetSpec(n=60, noise=0.1, dev_fraction=0.25)
-        rows = run_ablation(config, grid={"ptb_vocab": [True, False]}, seeds=[7])
-        assert len(rows) == 2
-        with pytest.raises(ValueError, match="unsupported ablation toggles"):
-            run_ablation(config, grid={"dropout": [0.1]}, seeds=[7])
-
-    def test_eval_train_flag_adds_train_metric(self, tmp_path):
-        config = quick_config(tmp_path, run_name="evaltrain")
-        config.eval_train = True
-        result = train(config)
-        evals = [r for r in parse_metrics(result.metrics_path) if r["kind"] == "eval"]
-        assert evals and all("train_metric" in r for r in evals)
+    def test_unknown_grid_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown ablation grid"):
+            run_ablation(quick_config(tmp_path), grid={"ptb_vocab": [True, False]})
 
 
 class TestConfigSerialization:
@@ -303,6 +291,12 @@ class TestConfigSerialization:
         assert rebuilt.model == config.model
         assert rebuilt.dataset == config.dataset
         assert rebuilt.seeds == config.seeds
+
+    @pytest.mark.parametrize("raw", [{"eval_train": True},
+                                     {"adv": {"scale_from_ascended": True}}])
+    def test_removed_fields_rejected(self, raw):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            config_from_dict(raw)
 
 
 class TestCLI:

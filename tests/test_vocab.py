@@ -203,6 +203,29 @@ class TestPersistence:
         with pytest.raises(VocabularyFormatError):
             load_vocabulary(path2)
 
+    def test_truncated_or_extended_file_rejected(self, tmp_path):
+        v = init_vocabulary(3, 2, 0.1, np.random.default_rng(4), meta={"epsilon": 1.0})
+        good = tmp_path / "v.bin"
+        save_vocabulary(v, good)
+        raw = good.read_bytes()
+        path = tmp_path / "bad.bin"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(VocabularyFormatError):
+                load_vocabulary(path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(VocabularyFormatError, match="trailing bytes"):
+            load_vocabulary(path)
+
+    def test_unknown_version_rejected_before_the_body(self, tmp_path):
+        path = tmp_path / "v.bin"
+        save_vocabulary(self.make_vocab(), path)
+        raw = bytearray(path.read_bytes()[:40])
+        raw[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(VocabularyFormatError, match="unsupported vocabulary version 2"):
+            load_vocabulary(path)
+
 
 class TestApplyToEmbedding:
     def test_zero_vocab_is_identity(self):
