@@ -180,11 +180,11 @@ def scaling_index(eta: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, n, 0.0)
 
 
-def _check_finite(name: str, arr: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(arr)):
-        bad = int(arr.size - np.isfinite(arr).sum())
-        raise NonFiniteGradient(
-            f"{name} has {bad} non-finite entries at inner step {step}; aborting")
+def _check_finite(what: str, arr: np.ndarray) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(arr.size - finite.sum())
+        raise NonFiniteGradient(f"{what} has {bad} non-finite entries; aborting")
 
 
 def _normalized_ascent(grad: np.ndarray, mask: np.ndarray, alpha: float, axis) -> np.ndarray:
@@ -211,7 +211,7 @@ def token_step(eta: np.ndarray, grad_eta: np.ndarray, alpha: float, epsilon: flo
     the whole sequence and no rescale happens.
     """
     mask = np.asarray(mask, dtype=bool)
-    _check_finite("grad_eta", grad_eta, _step)
+    _check_finite(f"grad_eta at inner step {_step}", grad_eta)
     if use_token_norm:
         ascended = eta + _normalized_ascent(grad_eta, mask, alpha, -1)
         n = scaling_index(eta, mask)
@@ -225,7 +225,7 @@ def instance_step(delta: np.ndarray, grad_delta: np.ndarray, alpha: float,
                   epsilon: float, mask: np.ndarray, _step: int = 0) -> np.ndarray:
     """One whole-sequence-normalized ascent step with ball projection."""
     mask = np.asarray(mask, dtype=bool)
-    _check_finite("grad_delta", grad_delta, _step)
+    _check_finite(f"grad_delta at inner step {_step}", grad_delta)
     new = delta + _normalized_ascent(grad_delta, mask, alpha, (-2, -1))
     return _project_unpadded(new, epsilon, mask)
 
@@ -235,7 +235,8 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     """One full batch step: init, K ascent steps, vocabulary and parameter update.
 
     Parameters and vocabulary are only mutated after the whole inner loop
-    has completed, so a non-finite abort leaves both untouched.
+    has completed and the accumulated parameter gradient has been checked,
+    so a non-finite abort leaves both (and the optimizer state) untouched.
     """
     cfg.validate()
     if batch.size == 0:
@@ -295,6 +296,8 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
             delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
             deltas.append(delta)
 
+    for name, g in accum.sums.items():
+        _check_finite(f"accumulated gradient of {name}", g)
     if cfg.eta_active and cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
                 epsilon=cfg.eta_bound)

@@ -102,6 +102,10 @@ def main(argv=None) -> int:
         model = load_checkpoint(args.checkpoint)
         tokenizer, train_ex, dev_ex, test_ex = build_dataset(
             config.dataset, seed=config.seeds.data)
+        if model.config.vocab_size != tokenizer.vocab_size:
+            raise ValueError(
+                f"checkpoint vocab_size {model.config.vocab_size} != dataset tokenizer "
+                f"{tokenizer.vocab_size}: the checkpoint was trained on another vocabulary")
         examples = {"train": train_ex, "dev": dev_ex, "test": test_ex}[args.split]
         batches = make_batches(encode_examples(tokenizer, examples, config.max_len),
                                config.batch_size)

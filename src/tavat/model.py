@@ -133,27 +133,13 @@ class TextModel:
         keep = (self._dropout_rng.random(x.shape) >= p) / (1.0 - p)
         return T.scale(x, keep)
 
+    def _linear(self, x: Tensor, name: str) -> Tensor:
+        return T.matmul(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
+
     def _attention(self, h: Tensor, mask: np.ndarray, b: int) -> Tensor:
-        cfg = self.config
-        bsz, length, dim = h.shape
-        heads, dk = cfg.heads, dim // cfg.heads
-        p = self.params
-
-        def proj(name):
-            out = T.add(T.matmul(h, p[f"block{b}.attn.{name}.weight"]),
-                        p[f"block{b}.attn.{name}.bias"])
-            out = T.reshape(out, (bsz, length, heads, dk))
-            return T.transpose(out, (0, 2, 1, 3))
-
-        q, k, v = proj("wq"), proj("wk"), proj("wv")
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-        key_mask = mask[:, None, None, :]
-        scores = T.mask_fill(scores, key_mask, MASK_FILL_VALUE)
-        weights = T.softmax(scores)
-        ctx = T.matmul(weights, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, length, dim))
-        return T.add(T.matmul(ctx, p[f"block{b}.attn.wo.weight"]),
-                     p[f"block{b}.attn.wo.bias"])
+        q, k, v = (self._linear(h, f"block{b}.attn.{proj}") for proj in ("wq", "wk", "wv"))
+        ctx = T.attention(q, k, v, mask, self.config.heads, MASK_FILL_VALUE)
+        return self._linear(ctx, f"block{b}.attn.wo")
 
     def forward_from_embeddings(self, x: Tensor, mask: np.ndarray, train: bool = False) -> Tensor:
         """Logits from (possibly perturbed) embeddings; padded positions are inert."""
@@ -167,25 +153,24 @@ class TextModel:
         if cfg.encoder == "transformer":
             for b in range(cfg.blocks):
                 attn = self._dropout(self._attention(h, mask, b), train)
-                h = T.layer_norm(T.add(h, attn), p[f"block{b}.ln1.gain"], p[f"block{b}.ln1.bias"])
-                ff = T.add(T.matmul(T.relu(T.add(T.matmul(h, p[f"block{b}.ffn.w1.weight"]),
-                                                 p[f"block{b}.ffn.w1.bias"])),
-                                    p[f"block{b}.ffn.w2.weight"]),
-                           p[f"block{b}.ffn.w2.bias"])
+                h = T.layer_norm(attn, p[f"block{b}.ln1.gain"], p[f"block{b}.ln1.bias"],
+                                 residual=h)
+                ff = self._linear(T.relu(self._linear(h, f"block{b}.ffn.w1")),
+                                  f"block{b}.ffn.w2")
                 ff = self._dropout(ff, train)
-                h = T.layer_norm(T.add(h, ff), p[f"block{b}.ln2.gain"], p[f"block{b}.ln2.bias"])
+                h = T.layer_norm(ff, p[f"block{b}.ln2.gain"], p[f"block{b}.ln2.bias"],
+                                 residual=h)
         else:
-            inner = T.relu(T.add(T.matmul(h, p["mlp.w1.weight"]), p["mlp.w1.bias"]))
-            h = T.add(T.matmul(inner, p["mlp.w2.weight"]), p["mlp.w2.bias"])
+            h = self._linear(T.relu(self._linear(h, "mlp.w1")), "mlp.w2")
 
         if cfg.head == "tagging":
-            return T.add(T.matmul(h, p["head.weight"]), p["head.bias"])
+            return self._linear(h, "head")
 
         kept = T.mask_fill(h, mask[:, :, None], 0.0)
         pooled = T.reduce_sum(kept, axis=1)
         inv_len = (1.0 / mask.sum(axis=1))[:, None]
         pooled = T.scale(pooled, inv_len)
-        return T.add(T.matmul(pooled, p["head.weight"]), p["head.bias"])
+        return self._linear(pooled, "head")
 
     def forward(self, batch, train: bool = False) -> Tensor:
         return self.forward_from_embeddings(self.embed(batch), batch.mask, train=train)

@@ -6,12 +6,25 @@ graph once in reverse topological order. Graphs are rebuilt on every
 forward pass, which is what the adversarial inner loop needs (the same
 parameters are re-evaluated K times per batch with mutated inputs).
 
+Three ops fuse what the transformer would otherwise record as chains,
+so each inner step replays fewer, fatter nodes. Each evaluates the same
+numpy expressions in the same order as the chain it replaces, so its
+results are bitwise those of the chain:
+
+- ``matmul(a, b, bias)`` adds ``bias`` to the product (a linear layer);
+- ``attention(q, k, v, key_mask, heads, fill)`` splits heads, scales
+  q·kᵀ, fills masked keys, takes the softmax and merges the context;
+- ``layer_norm(a, gain, bias, residual)`` normalizes ``a + residual``.
+
 Broadcasting is deliberately narrow: the second operand of ``add``/``mul``
-may be a trailing-shape suffix of the first (bias over leading batch
-dims); anything else is a shape error. ``scale`` multiplies by a
-constant (scalar or plain ndarray) that never receives a gradient.
+and the ``bias`` of ``matmul`` may be a trailing-shape suffix of the
+first operand or product (bias over leading batch dims); anything else
+is a shape error. ``scale`` multiplies by a constant (scalar or plain
+ndarray) that never receives a gradient.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -123,12 +136,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     return adjoint
 
 
-def _suffix_check(op: str, a: Tensor, b: Tensor) -> bool:
-    """True if b broadcasts as a trailing suffix of a; raises otherwise."""
-    if a.shape == b.shape:
-        return False
-    if b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape:
-        return True
+def _suffix_check(op: str, a, b) -> None:
+    """Raise unless b's shape equals a's or is a trailing suffix of it."""
+    if a.shape == b.shape or (b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape):
+        return
     raise ShapeError(f"{op}: cannot combine shapes {a.shape} and {b.shape}")
 
 
@@ -138,23 +149,21 @@ def _sum_to_suffix(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    broadcast = _suffix_check("add", a, b)
+    _suffix_check("add", a, b)
     out = a.data + b.data
 
     def vjp(g):
-        return g, _sum_to_suffix(g, b.shape) if broadcast else g
+        return g, _sum_to_suffix(g, b.shape)
 
     return _track(out, (a, b), vjp, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    broadcast = _suffix_check("mul", a, b)
+    _suffix_check("mul", a, b)
     out = a.data * b.data
 
     def vjp(g):
-        ga = g * b.data
-        gb = g * a.data
-        return ga, _sum_to_suffix(gb, b.shape) if broadcast else gb
+        return g * b.data, _sum_to_suffix(g * a.data, b.shape)
 
     return _track(out, (a, b), vjp, "mul")
 
@@ -181,11 +190,12 @@ def relu(a: Tensor) -> Tensor:
     return _track(out, (a,), vjp, "relu")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Contract the last axis of a with the second-to-last of b.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Contract the last axis of a with the second-to-last of b, then add bias.
 
     Supported: 2-D b shared across a's leading dims, or fully batched
-    operands with identical leading dims.
+    operands with identical leading dims. ``bias`` follows ``add``'s
+    suffix rule against the product; with it the node is a linear layer.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
@@ -194,6 +204,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.ndim != 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: leading dims differ, {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
+    parents = (a, b)
+    if bias is not None:
+        _suffix_check("matmul", out, bias)
+        out += bias.data
+        parents = (a, b, bias)
 
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -203,9 +218,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n))
         else:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _sum_to_suffix(g, bias.shape)
 
-    return _track(out, (a, b), vjp, "matmul")
+    return _track(out, parents, vjp, "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -243,15 +260,26 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
 LAYER_NORM_VAR_FLOOR = 1e-12
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis; constant rows map to zeros (variance floored)."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
+    """Normalize the last axis of ``a + residual`` (or of ``a`` alone).
+
+    Constant rows map to zeros (variance floored). Both summands get the
+    same gradient.
+    """
     dim = a.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise ShapeError(
             f"layer_norm: affine shapes {gain.shape}/{bias.shape} do not match last dim {dim}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
+    x = a.data
+    parents = (a, gain, bias)
+    if residual is not None:
+        if residual.shape != a.shape:
+            raise ShapeError(f"layer_norm: residual {residual.shape} does not match {a.shape}")
+        x = a.data + residual.data
+        parents = (a, gain, bias, residual)
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     active = var > LAYER_NORM_VAR_FLOOR
     std = np.sqrt(np.maximum(var, LAYER_NORM_VAR_FLOOR))
@@ -265,22 +293,79 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         mean_dy = dy.mean(axis=-1, keepdims=True)
         mean_dyy = (dy * y).mean(axis=-1, keepdims=True)
         da = (dy - mean_dy - np.where(active, y * mean_dyy, 0.0)) / std
-        return da, dgain, dbias
+        return (da, dgain, dbias) if residual is None else (da, dgain, dbias, da)
 
-    return _track(out, (a, gain, bias), vjp, "layer_norm")
+    return _track(out, parents, vjp, "layer_norm")
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
 
 
 def softmax(a: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(a.data)
 
     def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        return (_softmax_vjp(y, g),)
 
     return _track(y, (a,), vjp, "softmax")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
+              fill: float) -> Tensor:
+    """Scaled dot-product attention over ``heads`` heads, as one node.
+
+    q, k and v are (batch, length, dim); ``key_mask`` is (batch, length)
+    and keys where it is false get score ``fill`` before the softmax.
+    Each head sees a dim // heads slice; the heads' contexts are merged
+    back to (batch, length, dim). The arithmetic is that of the taped
+    chain reshape, transpose, matmul, scale, mask_fill, softmax, matmul,
+    transpose, reshape.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q, k, v must share a 3-D shape, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    bsz, length, dim = q.shape
+    if dim % heads:
+        raise ShapeError(f"attention: dim {dim} not divisible by {heads} heads")
+    keep = np.asarray(key_mask, dtype=bool)
+    if keep.shape != (bsz, length):
+        raise ShapeError(f"attention: key mask {keep.shape} does not match {(bsz, length)}")
+    keep = keep[:, None, None, :]
+    dk = dim // heads
+    scale_by = 1.0 / math.sqrt(dk)
+
+    def split(t: np.ndarray, axes) -> np.ndarray:
+        # contiguous, as a taped transpose would leave it, so matmul runs the same kernel
+        return np.ascontiguousarray(t.reshape(bsz, length, heads, dk).transpose(axes))
+
+    def merge(t: np.ndarray, axes) -> np.ndarray:
+        return t.transpose(axes).reshape(bsz, length, dim)
+
+    qh = split(q.data, (0, 2, 1, 3))
+    kt = split(k.data, (0, 2, 3, 1))
+    vh = split(v.data, (0, 2, 1, 3))
+    y = _softmax(np.where(keep, np.matmul(qh, kt) * scale_by, fill))
+    out = merge(np.matmul(y, vh), (0, 2, 1, 3))
+
+    def vjp(g):
+        gctx = g.reshape(bsz, length, heads, dk).transpose(0, 2, 1, 3)
+        gy = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+        gvh = np.matmul(np.swapaxes(y, -1, -2), gctx)
+        gs = np.where(keep, _softmax_vjp(y, gy), 0.0) * scale_by
+        gqh = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
+        return merge(gqh, (0, 2, 1, 3)), merge(gkt, (0, 3, 1, 2)), merge(gvh, (0, 2, 1, 3))
+
+    return _track(out, (q, k, v), vjp, "attention")
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -9,7 +9,7 @@ from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPo
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
 from tavat.tensor import backward
-from tavat.train import SGD, _step_record
+from tavat.train import SGD, Adam, _step_record
 from tavat.vocab import init_vocabulary
 from oracles import reference_freelb_step, token_step_reference
 
@@ -443,6 +443,42 @@ class TestBatchStep:
         for name, p in model.params.items():
             np.testing.assert_array_equal(
                 p.data[~np.isnan(p.data)], params_before[name][~np.isnan(params_before[name])])
+
+    def test_non_finite_parameter_gradient_aborts_before_any_update(self, monkeypatch):
+        """A NaN only in a parameter's gradient reaches neither parameters,
+        optimizer state nor vocabulary."""
+        tok, batch = make_batch()
+        model = make_model(tok, seed=9)
+        cfg = AdvConfig(epsilon=1.0, sigma=0.01, alpha=0.3, K=2)
+        vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
+                                np.random.default_rng(14), meta={"epsilon": 1.0})
+        optimizer = Adam(0.01)
+        tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(15))
+
+        poisoned = model.params["block0.ffn.w1.weight"]
+
+        def poisoning_backward(loss):
+            grads = backward(loss)
+            grads[poisoned] = grads[poisoned].copy()
+            grads[poisoned][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(adv, "backward", poisoning_backward)
+        table_before = vocab.table.copy()
+        params_before = {n: p.data.copy() for n, p in model.params.items()}
+        state_before = (optimizer.t, {n: m.copy() for n, m in optimizer.m.items()},
+                        {n: v.copy() for n, v in optimizer.v.items()})
+        with pytest.raises(NonFiniteGradient, match="block0.ffn.w1.weight"):
+            tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(16))
+
+        np.testing.assert_array_equal(vocab.table, table_before)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, params_before[name])
+        assert optimizer.t == state_before[0]
+        for now, before in ((optimizer.m, state_before[1]), (optimizer.v, state_before[2])):
+            assert now.keys() == before.keys()
+            for name in now:
+                np.testing.assert_array_equal(now[name], before[name])
 
     def test_toggles_are_orthogonal(self, monkeypatch):
         """Flipping ptb_vocab leaves token-norm-gated paths untouched and vice versa."""

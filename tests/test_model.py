@@ -7,7 +7,7 @@ import pytest
 from tavat import tensor as T
 from tavat.model import (CheckpointFormatError, ModelConfig, TextModel, load_checkpoint,
                          save_checkpoint)
-from tavat.tensor import Tensor, backward
+from tavat.tensor import Tensor, backward, topo_order
 from oracles import finite_difference_gradient
 
 
@@ -154,6 +154,20 @@ class TestForward:
         np.testing.assert_array_equal(eval1, eval2)
         trained = model.forward_from_embeddings(model.embed(b), b.mask, train=True).data
         assert np.abs(trained - eval1).max() > 0
+
+
+class TestTapeBudget:
+    """Nodes one training forward plus loss records; the inner loop replays each K times."""
+
+    @pytest.mark.parametrize("dim, blocks, heads, ffn, nodes", [
+        (16, 1, 2, 32, 16),     # the c09 config; 38 with the chains unfused
+        (64, 2, 4, 256, 26),    # the dim-64 benchmark config; 69 unfused
+    ])
+    def test_nodes_per_forward(self, dim, blocks, heads, ffn, nodes):
+        model = small_model(dim=dim, blocks=blocks, heads=heads, ffn_dim=ffn)
+        batch = batch_of([[3, 4, 5, 6], [7, 8, 0, 0]], labels=[0, 2])
+        loss = model.loss(model.forward(batch), batch)
+        assert sum(t._vjp is not None for t in topo_order(loss)) == nodes
 
 
 class TestDeterminismAndSnapshot:

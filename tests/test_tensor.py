@@ -256,6 +256,41 @@ class TestFiniteDifferenceConsistency:
         _fd_matches(build, [table, w])
 
 
+    def test_matmul_with_bias(self):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, size=(5,)), requires_grad=True)
+
+        def build():
+            out = T.matmul(x, w, b)
+            return T.reduce_sum(T.mul(out, out))
+
+        _fd_matches(build, [x, w, b])
+
+    def test_layer_norm_with_residual(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.uniform(-1, 1, size=(4, 6)), requires_grad=True)
+        r = Tensor(rng.uniform(-1, 1, size=(4, 6)), requires_grad=True)
+        g = Tensor(rng.uniform(0.5, 1.5, size=(6,)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, size=(6,)), requires_grad=True)
+        weights = Tensor(rng.uniform(-1, 1, size=(4, 6)))
+        _fd_matches(lambda: T.reduce_sum(T.mul(T.layer_norm(x, g, b, residual=r), weights)),
+                    [x, r, g, b])
+
+    def test_attention(self):
+        rng = np.random.default_rng(19)
+        q, k, v = (Tensor(rng.uniform(-1, 1, size=(2, 5, 8)), requires_grad=True)
+                   for _ in range(3))
+        key_mask = np.array([[True] * 5, [True, True, True, False, False]])
+        weights = Tensor(rng.uniform(-1, 1, size=(2, 5, 8)))
+
+        def build():
+            return T.reduce_sum(T.mul(T.attention(q, k, v, key_mask, 2, -1e9), weights))
+
+        _fd_matches(build, [q, k, v])
+
+
 class TestDeterminism:
     def test_bitwise_identical_forward_and_backward(self):
         def run(seed):
@@ -271,3 +306,100 @@ class TestDeterminism:
         assert l1 == l2
         np.testing.assert_array_equal(gx1, gx2)
         np.testing.assert_array_equal(gw1, gw2)
+
+
+# (dim, heads, ffn): the c09 shapes, where a flattened-GEMM rewrite of
+# matmul was not bitwise, and the dim-64 benchmark shapes
+FUSED_SHAPES = [(16, 2, 32), (64, 4, 256)]
+FILL = -1e9
+
+
+def _taped(build, inputs, rng):
+    """Forward output and every input's gradient under a random upstream gradient."""
+    out = build(*inputs)
+    upstream = Tensor(rng.uniform(-1, 1, size=out.shape))
+    grads = backward(T.reduce_sum(T.mul(out, upstream)))
+    return out.data, [grads[t] for t in inputs]
+
+
+def _assert_bitwise(fused, chain, make_inputs, seed):
+    got, got_grads = _taped(fused, make_inputs(), np.random.default_rng(seed))
+    want, want_grads = _taped(chain, make_inputs(), np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+    assert len(got_grads) == len(want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def _padded_mask(bsz, length, rng):
+    lengths = rng.integers(2, length + 1, size=bsz)
+    lengths[0] = length
+    return np.arange(length)[None, :] < lengths[:, None]
+
+
+class TestFusedOpsMatchTheirChains:
+    """Each fused op is bitwise its unfused composition, forward and vjp."""
+
+    @pytest.mark.parametrize("dim, heads, ffn", FUSED_SHAPES)
+    def test_matmul_bias_is_matmul_then_add(self, dim, heads, ffn):
+        # the projections and FFN layers on (batch, length, dim), and the pooled head
+        for shape_in, fan_out in (((5, 9, dim), dim), ((5, 9, dim), ffn), ((5, 9, ffn), dim),
+                                  ((5, dim), 2)):
+            def make_inputs(shape_in=shape_in, fan_out=fan_out):
+                r = np.random.default_rng(1)
+                return [Tensor(r.uniform(-1, 1, size=shape), requires_grad=True)
+                        for shape in (shape_in, (shape_in[-1], fan_out), (fan_out,))]
+
+            _assert_bitwise(lambda x, w, b: T.matmul(x, w, b),
+                            lambda x, w, b: T.add(T.matmul(x, w), b), make_inputs, dim)
+
+    @pytest.mark.parametrize("dim, heads, ffn", FUSED_SHAPES)
+    def test_layer_norm_residual_is_add_then_layer_norm(self, dim, heads, ffn):
+        def make_inputs():
+            r = np.random.default_rng(2)
+            return [Tensor(r.uniform(-1, 1, size=(5, 9, dim)), requires_grad=True),
+                    Tensor(r.uniform(-1, 1, size=(5, 9, dim)), requires_grad=True),
+                    Tensor(r.uniform(0.5, 1.5, size=(dim,)), requires_grad=True),
+                    Tensor(r.uniform(-1, 1, size=(dim,)), requires_grad=True)]
+
+        _assert_bitwise(lambda a, h, g, b: T.layer_norm(a, g, b, residual=h),
+                        lambda a, h, g, b: T.layer_norm(T.add(h, a), g, b),
+                        make_inputs, dim)
+
+    @pytest.mark.parametrize("dim, heads, ffn", FUSED_SHAPES)
+    def test_attention_is_the_head_split_chain(self, dim, heads, ffn):
+        bsz, length = 5, 9
+        dk = dim // heads
+        key_mask = _padded_mask(bsz, length, np.random.default_rng(dim))
+        assert not key_mask.all()
+
+        def chain(q, k, v):
+            def split(t):
+                return T.transpose(T.reshape(t, (bsz, length, heads, dk)), (0, 2, 1, 3))
+
+            qh, kh, vh = split(q), split(k), split(v)
+            scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
+            scores = T.mask_fill(scores, key_mask[:, None, None, :], FILL)
+            ctx = T.matmul(T.softmax(scores), vh)
+            return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, length, dim))
+
+        def make_inputs():
+            r = np.random.default_rng(3)
+            return [Tensor(r.uniform(-1, 1, size=(bsz, length, dim)), requires_grad=True)
+                    for _ in range(3)]
+
+        _assert_bitwise(lambda q, k, v: T.attention(q, k, v, key_mask, heads, FILL),
+                        chain, make_inputs, dim + 1)
+
+    def test_shape_errors(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(T.ShapeError, match="matmul"):
+            T.matmul(x, Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
+        with pytest.raises(T.ShapeError, match="residual"):
+            T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                         residual=Tensor(np.ones((2, 4))))
+        mask = np.ones((2, 3), dtype=bool)
+        with pytest.raises(T.ShapeError, match="heads"):
+            T.attention(x, x, x, mask, 3, FILL)
+        with pytest.raises(T.ShapeError, match="key mask"):
+            T.attention(x, x, x, mask[:, :2], 2, FILL)

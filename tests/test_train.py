@@ -9,7 +9,7 @@ import pytest
 from tavat.adv import AdvConfig
 from tavat.cli import main as cli_main
 from tavat.data import DatasetSpec, make_batches, Batch
-from tavat.model import ModelConfig, load_checkpoint
+from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from tavat.train import (Seeds, TrainConfig, config_from_dict, evaluate,
                          format_ablation_table, parse_metrics, run_ablation,
                          summarize_records, train)
@@ -325,6 +325,20 @@ class TestCLI:
                          "--vocab", str(vocab_file), "--out", str(merged)]) == 0
         capsys.readouterr()
         assert merged.exists()
+
+    def test_evaluate_rejects_checkpoint_of_another_vocabulary(self, tmp_path, monkeypatch):
+        config, path = self.write_config(tmp_path, run_name="foreign")
+        foreign = tmp_path / "foreign.bin"
+        save_checkpoint(TextModel(dataclasses.replace(config.model, vocab_size=40),
+                                  rng=np.random.default_rng(0)), foreign)
+        cli_module = importlib.import_module("tavat.cli")
+
+        def no_batches(*args, **kwargs):
+            raise AssertionError("batches built for a mismatched checkpoint")
+
+        monkeypatch.setattr(cli_module, "make_batches", no_batches)
+        with pytest.raises(ValueError, match=r"vocab_size 40 != dataset tokenizer 56"):
+            cli_main(["evaluate", "--checkpoint", str(foreign), "--config", str(path)])
 
     def test_ablate_subcommand(self, tmp_path, capsys):
         config, path = self.write_config(tmp_path, run_name="cliablate")
