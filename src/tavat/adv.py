@@ -263,8 +263,9 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     deltas = [delta] if cfg.delta_active else []
     etas = [eta] if cfg.eta_active else []
 
+    # parameters move only after the loop, so one embedding serves all K steps
+    x = model.embed(batch)
     for t in range(cfg.K):
-        x = model.embed(batch)
         perturbed = x
         dt = et = None
         if cfg.delta_active:

@@ -8,14 +8,14 @@ are added to the embedding output before the encoder, so
 """
 from __future__ import annotations
 
-import io
-import json
 import math
-import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
+from itertools import islice
 
 import numpy as np
 
+from . import container
 from . import tensor as T
 from .tensor import Tensor
 
@@ -38,6 +38,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.ffn_dim is None:
             self.ffn_dim = 4 * self.dim
+        for name in ("vocab_size", "dim", "heads", "ffn_dim", "max_len", "classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.blocks < 0:
+            raise ValueError(f"blocks must be at least 0, got {self.blocks}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.encoder not in ("transformer", "mlp"):
             raise ValueError(f"unknown encoder kind {self.encoder!r}")
         if self.head not in ("classification", "tagging"):
@@ -47,6 +54,33 @@ class ModelConfig:
 
 
 MASK_FILL_VALUE = -1e9
+
+
+def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in the order initialization draws them."""
+    def linear(name, fan_in, fan_out):
+        yield f"{name}.weight", (fan_in, fan_out)
+        yield f"{name}.bias", (fan_out,)
+
+    def norm(name):
+        yield f"{name}.gain", (cfg.dim,)
+        yield f"{name}.bias", (cfg.dim,)
+
+    yield "embedding.weight", (cfg.vocab_size, cfg.dim)
+    if cfg.use_positional:
+        yield "positional.weight", (cfg.max_len, cfg.dim)
+    if cfg.encoder == "transformer":
+        for b in range(cfg.blocks):
+            for proj in ("wq", "wk", "wv", "wo"):
+                yield from linear(f"block{b}.attn.{proj}", cfg.dim, cfg.dim)
+            yield from norm(f"block{b}.ln1")
+            yield from linear(f"block{b}.ffn.w1", cfg.dim, cfg.ffn_dim)
+            yield from linear(f"block{b}.ffn.w2", cfg.ffn_dim, cfg.dim)
+            yield from norm(f"block{b}.ln2")
+    else:
+        yield from linear("mlp.w1", cfg.dim, cfg.ffn_dim)
+        yield from linear("mlp.w2", cfg.ffn_dim, cfg.dim)
+    yield from linear("head", cfg.dim, cfg.classes)
 
 
 class TextModel:
@@ -66,38 +100,24 @@ class TextModel:
     def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
         cfg = self.config
         params: dict[str, Tensor] = {}
-
-        def linear(name, fan_in, fan_out):
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            params[f"{name}.weight"] = Tensor(
-                rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-            params[f"{name}.bias"] = Tensor(np.zeros(fan_out), requires_grad=True)
-
-        # token rows land near unit norm, the regime the perturbation
-        # bounds are calibrated against
-        emb_bound = math.sqrt(3.0 / cfg.dim)
-        emb = rng.uniform(-emb_bound, emb_bound, size=(cfg.vocab_size, cfg.dim))
-        emb[0] = 0.0
-        params["embedding.weight"] = Tensor(emb, requires_grad=True)
-        if cfg.use_positional:
-            params["positional.weight"] = Tensor(
-                rng.uniform(-0.1, 0.1, size=(cfg.max_len, cfg.dim)), requires_grad=True)
-
-        if cfg.encoder == "transformer":
-            for b in range(cfg.blocks):
-                for proj in ("wq", "wk", "wv", "wo"):
-                    linear(f"block{b}.attn.{proj}", cfg.dim, cfg.dim)
-                params[f"block{b}.ln1.gain"] = Tensor(np.ones(cfg.dim), requires_grad=True)
-                params[f"block{b}.ln1.bias"] = Tensor(np.zeros(cfg.dim), requires_grad=True)
-                linear(f"block{b}.ffn.w1", cfg.dim, cfg.ffn_dim)
-                linear(f"block{b}.ffn.w2", cfg.ffn_dim, cfg.dim)
-                params[f"block{b}.ln2.gain"] = Tensor(np.ones(cfg.dim), requires_grad=True)
-                params[f"block{b}.ln2.bias"] = Tensor(np.zeros(cfg.dim), requires_grad=True)
-        else:
-            linear("mlp.w1", cfg.dim, cfg.ffn_dim)
-            linear("mlp.w2", cfg.ffn_dim, cfg.dim)
-
-        linear("head", cfg.dim, cfg.classes)
+        for name, shape in param_shapes(cfg):
+            if name == "embedding.weight":
+                # token rows land near unit norm, the regime the perturbation
+                # bounds are calibrated against
+                bound = math.sqrt(3.0 / cfg.dim)
+                data = rng.uniform(-bound, bound, size=shape)
+                data[0] = 0.0
+            elif name == "positional.weight":
+                data = rng.uniform(-0.1, 0.1, size=shape)
+            elif name.endswith(".weight"):
+                fan_in, fan_out = shape
+                bound = math.sqrt(6.0 / (fan_in + fan_out))
+                data = rng.uniform(-bound, bound, size=shape)
+            elif name.endswith(".gain"):
+                data = np.ones(shape)
+            else:
+                data = np.zeros(shape)
+            params[name] = Tensor(data, requires_grad=True)
         return params
 
     def set_embedding(self, weights: np.ndarray) -> None:
@@ -194,50 +214,29 @@ class CheckpointFormatError(ValueError):
 
 def save_checkpoint(model: TextModel, path) -> None:
     """Binary checkpoint: magic, version, hyperparameter block, named tensors."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    hyper = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(hyper)))
-    buf.write(hyper)
-    buf.write(struct.pack("<I", len(model.params)))
+    fields = [container.json_object(asdict(model.config)), container.u32(len(model.params))]
     for name, p in model.params.items():
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", p.ndim))
-        buf.write(struct.pack(f"<{p.ndim}I", *p.shape))
-        buf.write(p.data.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fields += [container.text(name), container.u32(p.ndim, *p.shape), container.f8(p.data)]
+    container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, fields)
 
 
 def load_checkpoint(path) -> TextModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    view = io.BytesIO(raw)
-    if view.read(4) != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a model checkpoint (bad magic)")
+    """The model in ``path``; its tensor table must be the one its hyperparameters imply."""
+    reader = container.Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              CheckpointFormatError, "checkpoint")
+    hyper = reader.json_object()
+    params: dict[str, Tensor] = {}
+    for _ in range(reader.u32()):
+        name = reader.text()
+        params[name] = Tensor(reader.f8(reader.u32s(reader.u32())), requires_grad=True)
+    reader.end()
     try:
-        (version,) = struct.unpack("<I", view.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", view.read(4))
-        config = ModelConfig(**json.loads(view.read(hlen).decode("utf-8")))
-        (count,) = struct.unpack("<I", view.read(4))
-        params: dict[str, Tensor] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", view.read(4))
-            name = view.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", view.read(4))
-            dims = struct.unpack(f"<{rank}I", view.read(4 * rank))
-            n = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(view.read(8 * n), dtype="<f8").reshape(dims).copy()
-            params[name] = Tensor(data, requires_grad=True)
-    except CheckpointFormatError:
-        raise
-    except (struct.error, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: truncated or corrupt checkpoint") from exc
-    if view.read(1):
-        raise CheckpointFormatError(f"{path}: trailing bytes after the last tensor")
+        config = ModelConfig(**hyper)
+        # no more names than the table holds, so a crafted block count stays cheap
+        expected = dict(islice(param_shapes(config), len(params) + 1))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: bad hyperparameter block: {exc}") from exc
+    if {name: p.shape for name, p in params.items()} != expected:
+        raise CheckpointFormatError(
+            f"{path}: tensor table does not match the hyperparameter block")
     return TextModel(config, params=params)

@@ -183,7 +183,6 @@ class TrainResult:
     model: TextModel
     vocab: PerturbationVocabulary | None
     dev_metric: float | None
-    history: list[dict]
     checkpoint_path: Path | None
     vocab_path: Path | None
     metrics_path: Path | None
@@ -279,7 +278,6 @@ def train(config: TrainConfig) -> TrainResult:
     dev_batches = make_batches(encoded_dev, cfg.batch_size) if encoded_dev else []
 
     writer = MetricsWriter(metrics_path)
-    history: list[dict] = []
     started = time.time()
     writer.emit({"kind": "config", "config": cfg.to_dict(),
                  "train_examples": len(train_ex),
@@ -302,7 +300,6 @@ def train(config: TrainConfig) -> TrainResult:
                 dev_metric = _dev_metric(model, dev_batches)
                 writer.emit({"kind": "eval", "epoch": epoch, "metric": dev_metric,
                              "wall_time": time.time() - started})
-                history.append({"epoch": epoch, "dev_metric": dev_metric})
             if checkpoint_path is not None:
                 save_checkpoint(model, checkpoint_path)
         if cfg.epochs == 0 and dev_batches:
@@ -317,7 +314,7 @@ def train(config: TrainConfig) -> TrainResult:
         writer.close()
 
     return TrainResult(config=cfg, model=model, vocab=vocab, dev_metric=dev_metric,
-                       history=history, checkpoint_path=checkpoint_path,
+                       checkpoint_path=checkpoint_path,
                        vocab_path=vocab_path, metrics_path=metrics_path,
                        tokenizer_fingerprint=fingerprint)
 

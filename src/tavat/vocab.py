@@ -8,14 +8,12 @@ table to warm-start ordinary fine-tuning.
 """
 from __future__ import annotations
 
-import io
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import container
 from .data import PAD
 
 VOCAB_MAGIC = b"TAVV"
@@ -105,46 +103,25 @@ def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarr
 
 def save_vocabulary(vocab: PerturbationVocabulary, path) -> None:
     """magic + version + dims + little-endian float64 rows + JSON trailer."""
-    buf = io.BytesIO()
-    buf.write(VOCAB_MAGIC)
-    buf.write(struct.pack("<III", VOCAB_VERSION, vocab.vocab_size, vocab.dim))
-    buf.write(vocab.table.astype("<f8").tobytes())
-    trailer = json.dumps(vocab.meta, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(trailer)))
-    buf.write(trailer)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    container.write(path, VOCAB_MAGIC, VOCAB_VERSION,
+                    [container.u32(vocab.vocab_size, vocab.dim), container.f8(vocab.table),
+                     container.json_object(vocab.meta)])
 
 
 def load_vocabulary(path, expect_dim: int | None = None,
                     expect_fingerprint: str | None = None) -> PerturbationVocabulary:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    view = io.BytesIO(raw)
-    if view.read(4) != VOCAB_MAGIC:
-        raise VocabularyFormatError(f"{path}: not a perturbation vocabulary (bad magic)")
-    try:
-        (version,) = struct.unpack("<I", view.read(4))
-        if version != VOCAB_VERSION:
-            raise VocabularyFormatError(f"{path}: unsupported vocabulary version {version}")
-        n, d = struct.unpack("<II", view.read(8))
-        table = np.frombuffer(view.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        (tlen,) = struct.unpack("<I", view.read(4))
-        meta = json.loads(view.read(tlen).decode("utf-8"))
-    except VocabularyFormatError:
-        raise
-    except (struct.error, ValueError) as exc:
-        raise VocabularyFormatError(f"{path}: truncated or corrupt vocabulary") from exc
-    if view.read(1):
-        raise VocabularyFormatError(f"{path}: trailing bytes after the metadata")
-    if expect_fingerprint is not None and meta.get("fingerprint") != expect_fingerprint:
+    reader = container.Reader(path, VOCAB_MAGIC, VOCAB_VERSION, VocabularyFormatError,
+                              "vocabulary")
+    vocab = PerturbationVocabulary(table=reader.f8(reader.u32s(2)), meta=reader.json_object())
+    reader.end()
+    if expect_fingerprint is not None and vocab.meta.get("fingerprint") != expect_fingerprint:
         raise FingerprintMismatch(
-            f"{path}: tokenizer fingerprint {meta.get('fingerprint')!r} "
+            f"{path}: tokenizer fingerprint {vocab.meta.get('fingerprint')!r} "
             f"does not match expected {expect_fingerprint!r}")
-    if expect_dim is not None and d != expect_dim:
+    if expect_dim is not None and vocab.dim != expect_dim:
         raise VocabularyFormatError(
-            f"{path}: dimension mismatch, file has D={d}, expected D={expect_dim}")
-    return PerturbationVocabulary(table=table, meta=meta)
+            f"{path}: dimension mismatch, file has D={vocab.dim}, expected D={expect_dim}")
+    return vocab
 
 
 def apply_to_embedding(weights: np.ndarray, vocab: PerturbationVocabulary) -> np.ndarray:

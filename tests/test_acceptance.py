@@ -343,7 +343,7 @@ class TestAcceptance:
                 out_dir=str(tmp_path / f"trend-{n_train}-{seed}-{adv.mode}"),
                 run_name="t", emit_metrics=False,
             )
-            return train(config).history[-1]["dev_metric"]
+            return train(config).dev_metric
 
         def clean_cfg():
             return AdvConfig(mode="freelb", use_vocab=False, use_token_norm=False,

@@ -481,7 +481,8 @@ class TestBatchStep:
                 np.testing.assert_array_equal(now[name], before[name])
 
     def test_toggles_are_orthogonal(self, monkeypatch):
-        """Flipping ptb_vocab leaves token-norm-gated paths untouched and vice versa."""
+        """Flipping ptb_vocab leaves token-norm-gated paths untouched and vice versa;
+        each step looks the embedding up once for all K inner steps."""
         tok, batch = make_batch()
         calls = []
         for name in ("gather", "scatter", "token_step"):
@@ -489,6 +490,12 @@ class TestBatchStep:
                 calls.append((_name, kwargs.get("use_token_norm")))
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(adv, name, spy)
+        embed = TextModel.embed
+
+        def embed_spy(self, batch):
+            calls.append(("embed", None))
+            return embed(self, batch)
+        monkeypatch.setattr(TextModel, "embed", embed_spy)
 
         def calls_for(use_vocab, use_token_norm):
             calls.clear()
@@ -505,8 +512,8 @@ class TestBatchStep:
         on, vocab_off = calls_for(True, True), calls_for(False, True)
         norm_off = calls_for(True, False)
         assert on[0] == vocab_off[0] == [("token_step", True)] * 2
-        assert on[1] == norm_off[1] == [("gather", None), ("scatter", None)]
-        assert vocab_off[1] == [] and norm_off[0] == [("token_step", False)] * 2
+        assert on[1] == norm_off[1] == [("gather", None), ("embed", None), ("scatter", None)]
+        assert vocab_off[1] == [("embed", None)] and norm_off[0] == [("token_step", False)] * 2
 
     @pytest.mark.parametrize("mode", ["tavat", "freelb"])
     def test_report_holds_the_perturbation_trajectory(self, mode):

@@ -35,6 +35,22 @@ def batch_of(ids, labels=None):
     return FakeBatch(token_ids=ids, mask=ids != 0, labels=labels)
 
 
+@pytest.mark.parametrize("field, overrides", [
+    ("heads", dict(heads=0)),
+    ("dim", dict(dim=0)),
+    ("vocab_size", dict(vocab_size=0)),
+    ("ffn_dim", dict(ffn_dim=0)),
+    ("classes", dict(classes=0)),
+    ("blocks", dict(blocks=-1)),
+    ("max_len", dict(max_len=0, use_positional=True)),
+    ("dropout", dict(dropout=1.0)),
+    ("dropout", dict(dropout=-0.1)),
+])
+def test_config_rejects_out_of_range_sizes(field, overrides):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**{"vocab_size": 20, "dim": 8, "heads": 2, **overrides})
+
+
 class TestEmbed:
     def test_single_token_is_exact_row_copy(self):
         model = small_model()
