@@ -281,6 +281,9 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         if not math.isfinite(value):
             raise NonFiniteGradient(f"loss is non-finite at inner step {t}; aborting")
         grads = backward(loss)
+        # the map holds only leaf gradients, so this frees step t's tape
+        # before step t + 1 records its own
+        del logits, loss, perturbed
         losses.append(value)
 
         named = ((name, grads[p]) for name, p in model.params.items())
@@ -296,6 +299,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         if cfg.delta_active:
             delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
             deltas.append(delta)
+        del grads       # before step t + 1's backward builds the next map
 
     for name, g in accum.sums.items():
         _check_finite(f"accumulated gradient of {name}", g)

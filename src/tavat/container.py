@@ -3,9 +3,10 @@
 A file is a 4-byte magic, a u32 version, then the format's fields in
 order: little-endian u32 integers, length-prefixed UTF-8 strings and
 JSON objects, and little-endian float64 arrays. A write goes to a
-sibling temp file that is fsynced and renamed over the target, so a
-reader sees the old file or the new one, never part of one. A read is
-one bounds-checked cursor that raises the format's own error on any fault.
+sibling temp file that is fsynced and renamed over the target, then the
+directory is fsynced, so a reader sees the old file or the new one,
+never part of one, and the rename survives a power loss. A read is one
+bounds-checked cursor that raises the format's own error on any fault.
 """
 from __future__ import annotations
 
@@ -57,6 +58,12 @@ def write(path, magic: bytes, version: int, fields: list[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    # the rename is on disk only once the directory is
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class Reader:

@@ -9,6 +9,7 @@ are added to the embedding output before the encoder, so
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 from itertools import islice
@@ -18,6 +19,10 @@ import numpy as np
 from . import container
 from . import tensor as T
 from .tensor import Tensor
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -36,13 +41,18 @@ class ModelConfig:
     dropout_seed: int = 0
 
     def __post_init__(self):
-        if self.ffn_dim is None:
+        if self.ffn_dim is None and _is_int(self.dim):
             self.ffn_dim = 4 * self.dim
-        for name in ("vocab_size", "dim", "heads", "ffn_dim", "max_len", "classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.blocks < 0:
-            raise ValueError(f"blocks must be at least 0, got {self.blocks}")
+        for name, least in (("vocab_size", 1), ("dim", 1), ("blocks", 0), ("heads", 1),
+                            ("ffn_dim", 1), ("max_len", 1), ("classes", 1),
+                            ("dropout_seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not isinstance(self.dropout, numbers.Real) or isinstance(self.dropout, bool):
+            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.encoder not in ("transformer", "mlp"):

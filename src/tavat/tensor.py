@@ -111,11 +111,14 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Propagate d(loss)/d(tensor) to every tracked tensor under ``loss``.
+    """Propagate d(loss)/d(tensor) to every tracked leaf under ``loss``.
 
-    Returns the gradient map keyed by tensor identity. The map is the
-    only output: no tensor is written to, so repeated calls return equal
-    maps.
+    Returns the gradient map keyed by tensor identity. Its keys are the
+    tracked leaves, the tensors without a vjp (parameters, perturbations,
+    inputs); an interior adjoint is dropped once its node's vjp has read
+    it, so the map holds no link into the tape and the tape is freed when
+    the caller lets go of ``loss``. The map is the only output: no tensor
+    is written to, so repeated calls return equal maps.
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -125,8 +128,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     order = topo_order(loss)
     adjoint: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(order):
-        out_adj = adjoint.get(node)
-        if out_adj is None or node._vjp is None:
+        if node._vjp is None:
+            continue
+        out_adj = adjoint.pop(node, None)
+        if out_adj is None:
             continue
         for parent, contrib in zip(node._parents, node._vjp(out_adj)):
             if contrib is None or not parent.requires_grad:

@@ -8,6 +8,7 @@ with identical seeds reproduce both bit for bit.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -228,8 +229,32 @@ def _step_record(report, epoch: int, b_index: int, wall_time: float) -> dict:
     return record
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_allocator() -> None:
+    """Keep freed activations in the heap for the next inner step to reuse.
+
+    glibc serves a block above its mmap threshold from a fresh mapping and
+    unmaps it on free, and hands a free heap top above its trim threshold
+    back to the kernel; both thresholds slide with the sizes freed. An
+    inner step's 0.2-6 MB arrays then fault their pages in again on every
+    step. Fixed, high thresholds keep those pages in the heap. A no-op
+    where the C library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def train(config: TrainConfig) -> TrainResult:
     """Run a full training job as configured; everything is seed-determined."""
+    _pin_allocator()
     cfg = config
     cfg.adv.validate()
     out_dir = cfg.resolved_out_dir() if (cfg.out_dir or cfg.emit_metrics

@@ -1,4 +1,6 @@
 """Adversarial core: projection, scaling index, steps, the full batch loop."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPo
                        scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
-from tavat.tensor import backward
+from tavat.tensor import backward, topo_order
 from tavat.train import SGD, Adam, _step_record
 from tavat.vocab import init_vocabulary
 from oracles import reference_freelb_step, token_step_reference
@@ -514,6 +516,40 @@ class TestBatchStep:
         assert on[0] == vocab_off[0] == [("token_step", True)] * 2
         assert on[1] == norm_off[1] == [("gather", None), ("embed", None), ("scatter", None)]
         assert vocab_off[1] == [("embed", None)] and norm_off[0] == [("token_step", False)] * 2
+
+    def test_each_inner_step_frees_its_tape_before_the_next(self, monkeypatch):
+        """No array of step t's tape is alive when step t + 1's forward starts;
+        only the embedding, which all K steps share, outlives its step."""
+        tok, batch = make_batch()
+        model = make_model(tok, seed=13)
+        cfg = AdvConfig(epsilon=0.5, sigma=0.05, alpha=0.2, K=3)
+        vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma, np.random.default_rng(22),
+                                meta={"epsilon": 0.5})
+        shared, step_tape, leftovers = [], [], []
+        embed, forward, real_backward = (model.embed, model.forward_from_embeddings,
+                                         adv.backward)
+
+        def embed_spy(b):
+            x = embed(b)
+            shared.extend(node.data for node in topo_order(x))
+            return x
+
+        def forward_spy(*args, **kwargs):
+            leftovers.append(sum(ref() is not None for ref in step_tape))
+            return forward(*args, **kwargs)
+
+        def backward_spy(loss):
+            step_tape[:] = [weakref.ref(node.data) for node in topo_order(loss)
+                            if node._vjp is not None
+                            and not any(node.data is a for a in shared)]
+            return real_backward(loss)
+
+        monkeypatch.setattr(model, "embed", embed_spy)
+        monkeypatch.setattr(model, "forward_from_embeddings", forward_spy)
+        monkeypatch.setattr(adv, "backward", backward_spy)
+        tavat_batch_step(model, batch, vocab, cfg, SGD(0.05), np.random.default_rng(23))
+        assert len(step_tape) > 10
+        assert leftovers == [0, 0, 0]
 
     @pytest.mark.parametrize("mode", ["tavat", "freelb"])
     def test_report_holds_the_perturbation_trajectory(self, mode):

@@ -2,6 +2,7 @@
 import builtins
 import errno
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -87,6 +88,23 @@ def test_resave_writes_through_a_symlink_and_keeps_the_mode(kind, tmp_path):
     assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o600
     save(make(2), tmp_path / "direct.bin")
     assert target.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_save_fsyncs_the_file_then_its_directory(kind, tmp_path, monkeypatch):
+    make, save = FORMATS[kind]
+    path = tmp_path / f"{kind}.bin"
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    save(make(1), path)
+    # the temp file's inode is the target's after the rename
+    assert synced == [path.stat().st_ino, tmp_path.stat().st_ino]
 
 
 def _flipped_files(raw, float_spans, path):

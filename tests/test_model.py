@@ -42,6 +42,7 @@ def batch_of(ids, labels=None):
     ("ffn_dim", dict(ffn_dim=0)),
     ("classes", dict(classes=0)),
     ("blocks", dict(blocks=-1)),
+    ("dropout_seed", dict(dropout_seed=-1)),
     ("max_len", dict(max_len=0, use_positional=True)),
     ("dropout", dict(dropout=1.0)),
     ("dropout", dict(dropout=-0.1)),
@@ -49,6 +50,26 @@ def batch_of(ids, labels=None):
 def test_config_rejects_out_of_range_sizes(field, overrides):
     with pytest.raises(ValueError, match=field):
         ModelConfig(**{"vocab_size": 20, "dim": 8, "heads": 2, **overrides})
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("dim", dict(dim=8.0)),
+    ("blocks", dict(blocks=True)),
+    ("heads", dict(heads="2")),
+    ("vocab_size", dict(vocab_size=None)),
+    ("ffn_dim", dict(ffn_dim=16.0)),
+    ("dropout_seed", dict(dropout_seed=1.5)),
+    ("dropout", dict(dropout="0.1")),
+    ("dropout", dict(dropout=False)),
+])
+def test_config_rejects_wrong_types(field, overrides):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**{"vocab_size": 20, "dim": 8, "heads": 2, **overrides})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ModelConfig(vocab_size=np.int64(20), dim=np.int32(8), heads=2, dropout=0)
+    assert cfg.ffn_dim == 32
 
 
 class TestEmbed:
@@ -237,6 +258,14 @@ class TestCheckpoint:
                 load_checkpoint(path)
         path.write_bytes(raw + b"\x00")
         with pytest.raises(CheckpointFormatError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_non_integer_hyperparameters_rejected(self, tmp_path):
+        model = small_model(seed=5)
+        model.config.dim, model.config.blocks = 8.0, True
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointFormatError, match="dim must be an integer"):
             load_checkpoint(path)
 
     def test_loaded_parameters_are_writable(self, tmp_path):

@@ -1,4 +1,6 @@
 """Tensor core: op semantics, autodiff correctness, graph behavior."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,28 @@ class TestBackward:
             assert tensor.grad is None
             with pytest.raises(AttributeError):
                 tensor.grad = np.zeros_like(tensor.data)
+
+    def test_map_keys_are_the_tracked_leaves(self):
+        """Interior adjoints are dropped; untracked constants get no entry."""
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        w = Tensor(np.ones(4), requires_grad=True)
+        y = T.mul(x, w)
+        loss = T.reduce_sum(T.add(T.add(y, y), T.scale(Tensor(np.ones(4)), 2.0)))
+        grads = backward(loss)
+        leaves = {t for t in topo_order(loss) if t.requires_grad and t._vjp is None}
+        assert grads.keys() == leaves == {x, w}
+        np.testing.assert_array_equal(grads[x], 2 * w.data)
+        np.testing.assert_array_equal(grads[w], 2 * x.data)
+
+    def test_map_does_not_keep_the_tape_alive(self):
+        """Once the loss is dropped, no interior array is reachable from the map."""
+        x = Tensor(np.arange(-2.0, 2.0), requires_grad=True)
+        hidden = T.relu(T.mul(x, x))
+        probe = weakref.ref(hidden.data)
+        grads = backward(T.reduce_sum(hidden))
+        del hidden
+        assert probe() is None
+        np.testing.assert_array_equal(grads[x], 2 * x.data)
 
     def test_diamond_graph_gradient(self):
         """Shared subexpressions accumulate both path contributions."""

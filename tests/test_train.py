@@ -2,6 +2,7 @@
 import dataclasses
 import importlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -32,6 +33,35 @@ def quick_config(tmp_path, run_name="run", **adv_overrides):
 
 def strip_time(records):
     return [{k: v for k, v in r.items() if k != "wall_time"} for r in records]
+
+
+class TestAllocatorPin:
+    def test_train_pins_the_allocator(self, tmp_path, monkeypatch):
+        train_module = importlib.import_module("tavat.train")
+        calls = []
+        monkeypatch.setattr(train_module, "_pin_allocator", lambda: calls.append(1))
+        config = quick_config(tmp_path, run_name="pin")
+        config.epochs = 0
+        train(config)
+        assert calls == [1]
+
+    def test_pin_sets_both_thresholds(self, monkeypatch):
+        train_module = importlib.import_module("tavat.train")
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(train_module.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        train_module._pin_allocator()
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_pin_is_quiet_without_mallopt(self, monkeypatch):
+        train_module = importlib.import_module("tavat.train")
+        monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: object())
+        assert train_module._pin_allocator() is None
 
 
 class TestTrainBasics:
