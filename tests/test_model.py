@@ -42,10 +42,10 @@ def batch_of(ids, labels=None):
     ("ffn_dim", dict(ffn_dim=0)),
     ("classes", dict(classes=0)),
     ("blocks", dict(blocks=-1)),
-    ("dropout_seed", dict(dropout_seed=-1)),
     ("max_len", dict(max_len=0, use_positional=True)),
     ("dropout", dict(dropout=1.0)),
     ("dropout", dict(dropout=-0.1)),
+    ("dropout_seed", dict(dropout_seed=-1)),
 ])
 def test_config_rejects_out_of_range_sizes(field, overrides):
     with pytest.raises(ValueError, match=field):
