@@ -71,7 +71,6 @@ class AdvConfig:
     use_instance_delta: bool = True
     special_token_policy: SpecialTokenPolicy = field(default_factory=SpecialTokenPolicy)
     mode: str = "tavat"                    # "tavat" | "freelb" | "pgd"
-    eta_epsilon: float | None = None       # optional separate bound for the token perturbation
 
     def validate(self) -> None:
         if self.epsilon <= 0:
@@ -86,12 +85,12 @@ class AdvConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode in ("freelb", "pgd") and (self.use_vocab or self.use_token_norm):
             raise ConfigError(f"mode={self.mode} requires use_vocab=False and use_token_norm=False")
-        if self.eta_epsilon is not None and self.eta_epsilon <= 0:
-            raise ConfigError(f"eta_epsilon must be positive, got {self.eta_epsilon}")
 
+    # delta and eta share one epsilon ball. bench/harness.py reads eta's
+    # radius by this name until the benchmark reads ``epsilon`` instead.
     @property
     def eta_bound(self) -> float:
-        return self.epsilon if self.eta_epsilon is None else self.eta_epsilon
+        return self.epsilon
 
     @property
     def eta_active(self) -> bool:
@@ -293,7 +292,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
             accum.add(named, inv_k)
 
         if cfg.eta_active:
-            eta = token_step(eta, grads[et], cfg.alpha, cfg.eta_bound, mask,
+            eta = token_step(eta, grads[et], cfg.alpha, cfg.epsilon, mask,
                              use_token_norm=cfg.use_token_norm, _step=t)
             etas.append(eta)
         if cfg.delta_active:
@@ -305,7 +304,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         _check_finite(f"accumulated gradient of {name}", g)
     if cfg.eta_active and cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
-                epsilon=cfg.eta_bound)
+                epsilon=cfg.epsilon)
     optimizer.step(model.params, accum.sums)
 
     return StepReport(losses=losses, deltas=deltas, etas=etas, grad=accum)

@@ -21,11 +21,11 @@ def _load_config(args) -> TrainConfig:
     raw = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    config = config_from_dict(raw)
     for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, name, value)
+            raw[name] = value
+    config = config_from_dict(raw)
     if getattr(args, "mode", None):
         if args.mode == "clean":
             # plain fine-tuning: a single zero perturbation at the only step

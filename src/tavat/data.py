@@ -30,32 +30,25 @@ class Tokenizer:
         blob = "\n".join(f"{tok}\t{idx}" for tok, idx in ordered)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def encode(self, text_or_tokens, max_len: int | None = None) -> list[int]:
-        """cls + word ids + sep, truncated in the middle so sep stays last."""
-        if isinstance(text_or_tokens, str):
-            tokens = text_or_tokens.split()
-        else:
-            tokens = list(text_or_tokens)
-        ids = [self.token_to_id.get(t, UNK) for t in tokens]
-        if max_len is not None:
-            if max_len < 2:
-                raise ValueError("max_len must leave room for cls and sep")
-            ids = ids[: max_len - 2]
+    def encode(self, tokens: list[str], max_len: int) -> list[int]:
+        """cls + word ids + sep for a token list, at most ``max_len`` ids.
+
+        Words past ``max_len - 2`` are cut, so sep stays last; words not in
+        the vocabulary map to unk.
+        """
+        if max_len < 2:
+            raise ValueError("max_len must leave room for cls and sep")
+        ids = [self.token_to_id.get(t, UNK) for t in tokens[: max_len - 2]]
         return [CLS] + ids + [SEP]
 
 
-def build_tokenizer(corpus_or_tokens) -> Tokenizer:
-    """Word-level tokenizer from raw text lines or an explicit token list.
+def build_tokenizer(words: list[str]) -> Tokenizer:
+    """Word-level tokenizer from a list of words, each one token.
 
-    Non-special ids follow first-occurrence order, which makes the
-    fingerprint stable for a fixed source.
+    The special tokens take the first ids; the other ids follow
+    first-occurrence order, which makes the fingerprint stable for a
+    fixed word list.
     """
-    if isinstance(corpus_or_tokens, str):
-        words = corpus_or_tokens.split()
-    else:
-        words = []
-        for item in corpus_or_tokens:
-            words.extend(item.split() if " " in item else [item])
     if not words:
         raise ValueError("cannot build a tokenizer from an empty corpus")
     mapping = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
@@ -96,6 +89,7 @@ class Batch:
 
 CUES_PER_CLASS = 6
 FILLER_COUNT = 40
+MIN_WORDS, MAX_WORDS = 6, 12     # per classification example, unless its cues need more
 
 
 def synthetic_vocabulary(classes: int = 2) -> list[str]:
@@ -105,8 +99,7 @@ def synthetic_vocabulary(classes: int = 2) -> list[str]:
 
 
 def generate_synthetic_classification(n: int, seed: int, noise: float,
-                                      classes: int = 2,
-                                      min_len: int = 6, max_len: int = 12) -> list[Example]:
+                                      classes: int = 2) -> list[Example]:
     """Filler sequences with planted cue tokens; label = cue-class majority.
 
     The planted majority is strict, so with noise 0 a bag-of-cues counter
@@ -126,7 +119,7 @@ def generate_synthetic_classification(n: int, seed: int, noise: float,
         counts[true_class] = majority
         cues = [f"cue{c}_{int(rng.integers(CUES_PER_CLASS))}"
                 for c in range(classes) for _ in range(counts[c])]
-        length = max(int(rng.integers(min_len, max_len + 1)), len(cues))
+        length = max(int(rng.integers(MIN_WORDS, MAX_WORDS + 1)), len(cues))
         fillers = [f"filler{int(rng.integers(FILLER_COUNT))}" for _ in range(length - len(cues))]
         tokens = cues + fillers
         rng.shuffle(tokens)
@@ -139,6 +132,7 @@ def generate_synthetic_classification(n: int, seed: int, noise: float,
 
 TAG_TYPES = ("T0", "T1")
 ENTITY_WORDS_PER_TYPE = 5
+TAG_MIN_WORDS, TAG_MAX_WORDS = 8, 14
 
 
 def tagging_tag_names() -> list[str]:
@@ -153,8 +147,7 @@ def tagging_vocabulary() -> list[str]:
     return ents + [f"filler{i}" for i in range(FILLER_COUNT)]
 
 
-def generate_synthetic_tagging(n: int, seed: int,
-                               min_len: int = 8, max_len: int = 14) -> list[Example]:
+def generate_synthetic_tagging(n: int, seed: int) -> list[Example]:
     """Filler sequences with planted entity spans carrying BIO tags.
 
     Entity words are type-distinctive and spans are separated by at least
@@ -167,7 +160,7 @@ def generate_synthetic_tagging(n: int, seed: int,
     tag_id = {name: i for i, name in enumerate(names)}
     examples = []
     for _ in range(n):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(TAG_MIN_WORDS, TAG_MAX_WORDS + 1))
         tokens = [f"filler{int(rng.integers(FILLER_COUNT))}" for _ in range(length)]
         tags = [tag_id["O"]] * length
         spans = int(rng.integers(0, 3))
@@ -225,35 +218,41 @@ def span_f1(gold_seqs, pred_seqs) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # file ingestion
 
+def _column(path, header: list[str] | None, column: int | str) -> int:
+    """A column_map entry as a row index; names are looked up in the header."""
+    if not isinstance(column, str):
+        return column
+    if header is None:
+        raise ValueError(f"{path}: column {column!r} is named but the file has no header")
+    if column not in header:
+        raise ValueError(f"{path}: header {header!r} has no column {column!r}")
+    return header.index(column)
+
+
 def load_delimited(path, column_map: dict[str, int | str], delimiter: str = "\t",
-                   has_header: bool = False, label_map: dict[str, int] | None = None) -> list[Example]:
-    """UTF-8 delimited rows -> examples; malformed rows report line numbers."""
-    text_col, label_col = column_map["text"], column_map["label"]
+                   has_header: bool = False) -> list[Example]:
+    """UTF-8 delimited rows -> examples; malformed rows report line numbers.
+
+    ``column_map`` gives the text and label columns by index, or by name
+    when the first line is a header. Labels are integers.
+    """
     examples = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and has_header:
-                header = row
-                continue
+        header = next(reader, []) if has_header else None
+        tc = _column(path, header, column_map["text"])
+        lc = _column(path, header, column_map["label"])
+        for lineno, row in enumerate(reader, start=2 if has_header else 1):
             if not row:
                 continue
             try:
-                tc = header.index(text_col) if isinstance(text_col, str) else text_col
-                lc = header.index(label_col) if isinstance(label_col, str) else label_col
                 text, raw_label = row[tc], row[lc]
-            except (ValueError, IndexError):
+            except IndexError:
                 raise ValueError(f"{path}:{lineno}: missing required columns in {row!r}")
-            if label_map is not None:
-                if raw_label not in label_map:
-                    raise ValueError(f"{path}:{lineno}: unknown label {raw_label!r}")
-                label = label_map[raw_label]
-            else:
-                try:
-                    label = int(raw_label)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: unknown label {raw_label!r}")
+            try:
+                label = int(raw_label)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: unknown label {raw_label!r}")
             examples.append(Example(tokens=text.split(), label=label))
     return examples
 
@@ -351,7 +350,7 @@ class DatasetSpec:
     subsample_fraction: float | None = None
 
 
-def build_dataset(spec: DatasetSpec, seed: int, tokenizer: Tokenizer | None = None):
+def build_dataset(spec: DatasetSpec, seed: int):
     """Returns (tokenizer, train, dev, test) example lists, splits disjoint."""
     if spec.source == "synthetic-classification":
         examples = generate_synthetic_classification(
@@ -369,9 +368,7 @@ def build_dataset(spec: DatasetSpec, seed: int, tokenizer: Tokenizer | None = No
     else:
         raise ValueError(f"unknown dataset source {spec.source!r}")
 
-    if tokenizer is None:
-        tokenizer = build_tokenizer(vocab)
-
+    tokenizer = build_tokenizer(vocab)
     order = np.arange(len(examples))
     np.random.default_rng(spec.split_seed).shuffle(order)
     n_test = int(round(spec.test_fraction * len(examples)))

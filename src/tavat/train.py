@@ -21,7 +21,7 @@ import numpy as np
 from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1)
-from .model import ModelConfig, TextModel, save_checkpoint
+from .model import ModelConfig, TextModel, _is_int, save_checkpoint
 from .tensor import Tensor
 from .vocab import (PerturbationVocabulary, apply_to_embedding, init_vocabulary,
                     load_vocabulary, save_vocabulary)
@@ -30,27 +30,23 @@ METRICS_SCHEMA = 1
 
 
 class SGD:
-    """Plain SGD with optional decoupled weight decay."""
+    """Plain SGD: each parameter moves by -lr times its gradient."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.weight_decay = weight_decay
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
         for name, p in params.items():
-            g = grads[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            p.data = p.data - self.lr * g
+            p.data = p.data - self.lr * grads[name]
 
 
 class Adam:
     """Adam with bias correction; state keyed by parameter name."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.weight_decay = lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -59,22 +55,20 @@ class Adam:
         self.t += 1
         for name, p in params.items():
             g = grads[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m = self.m.get(name, 0.0)
             v = self.v.get(name, 0.0)
-            self.m[name] = m = self.beta1 * m + (1 - self.beta1) * g
-            self.v[name] = v = self.beta2 * v + (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1 ** self.t)
-            vhat = v / (1 - self.beta2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[name] = m = self.BETA1 * m + (1 - self.BETA1) * g
+            self.v[name] = v = self.BETA2 * v + (1 - self.BETA2) * g * g
+            mhat = m / (1 - self.BETA1 ** self.t)
+            vhat = v / (1 - self.BETA2 ** self.t)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
-def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0):
+def make_optimizer(kind: str, lr: float):
     if kind == "sgd":
-        return SGD(lr, weight_decay)
+        return SGD(lr)
     if kind == "adam":
-        return Adam(lr, weight_decay)
+        return Adam(lr)
     raise ValueError(f"unknown optimizer kind {kind!r}")
 
 
@@ -93,7 +87,6 @@ class TrainConfig:
     seeds: Seeds = field(default_factory=Seeds)
     optimizer: str = "sgd"
     lr: float = 0.05
-    weight_decay: float = 0.0
     epochs: int = 3
     batch_size: int = 32
     max_len: int = 32
@@ -102,6 +95,14 @@ class TrainConfig:
     save_ptb_vocab: bool = True        # written only when the vocabulary is in use
     init_embedding_from_vocab: str | None = None
     emit_metrics: bool = True
+
+    def __post_init__(self):
+        for name, least in (("epochs", 0), ("batch_size", 1), ("max_len", 2)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def resolved_out_dir(self) -> Path:
         root = self.out_dir or os.environ.get("TAVAT_OUT_DIR", "runs")
@@ -294,10 +295,10 @@ def train(config: TrainConfig) -> TrainResult:
     if cfg.adv.use_vocab:
         vocab = init_vocabulary(model_cfg.vocab_size, model_cfg.dim, cfg.adv.sigma,
                                 rng_adv, meta={"task": cfg.dataset.source,
-                                               "epsilon": cfg.adv.eta_bound,
+                                               "epsilon": cfg.adv.epsilon,
                                                "fingerprint": fingerprint})
 
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay)
+    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     encoded_train = encode_examples(tokenizer, train_ex, cfg.max_len)
     encoded_dev = encode_examples(tokenizer, dev_ex, cfg.max_len)
     dev_batches = make_batches(encoded_dev, cfg.batch_size) if encoded_dev else []
@@ -347,41 +348,33 @@ def train(config: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 # ablations
 
-TABLE5_GRID = [  # (use_vocab, use_token_norm)
-    (True, True), (False, True), (True, False), (False, False),
-]
-TABLE6_GRID = [  # (include special tokens, include normal tokens)
-    (True, True), (False, True), (True, False),
-]
+_SPECIALS = frozenset({CLS, SEP, UNK})
 
-
-def _with_toggles(config: TrainConfig, ptb_vocab: bool | None = None,
-                  tok_norm: bool | None = None,
-                  special_tokens: tuple[bool, bool] | None = None) -> TrainConfig:
-    cfg = dataclasses.replace(config)
-    adv = dataclasses.replace(config.adv)
-    if ptb_vocab is not None:
-        adv.use_vocab = ptb_vocab
-    if tok_norm is not None:
-        adv.use_token_norm = tok_norm
-    if special_tokens is not None:
-        include_special, include_normal = special_tokens
-        specials = frozenset({CLS, SEP, UNK})
-        if include_special and include_normal:
-            adv.special_token_policy = SpecialTokenPolicy("exclude", frozenset())
-        elif include_normal:
-            adv.special_token_policy = SpecialTokenPolicy("exclude", specials)
-        elif include_special:
-            adv.special_token_policy = SpecialTokenPolicy("include", specials)
-        else:
-            raise ValueError("at least one token group must participate")
-    cfg.adv = adv
-    return cfg
+# grid -> (row label, AdvConfig overrides) per arm
+ABLATION_GRIDS = {
+    # perturbation vocabulary x token-level normalization
+    "table5": [
+        ({"ptb_vocab": True, "tok_norm": True}, {"use_vocab": True, "use_token_norm": True}),
+        ({"ptb_vocab": False, "tok_norm": True}, {"use_vocab": False, "use_token_norm": True}),
+        ({"ptb_vocab": True, "tok_norm": False}, {"use_vocab": True, "use_token_norm": False}),
+        ({"ptb_vocab": False, "tok_norm": False},
+         {"use_vocab": False, "use_token_norm": False}),
+    ],
+    # which token groups write the vocabulary: (special tokens, normal tokens)
+    "table6": [
+        ({"special_tokens": (True, True)},
+         {"special_token_policy": SpecialTokenPolicy("exclude", frozenset())}),
+        ({"special_tokens": (False, True)},
+         {"special_token_policy": SpecialTokenPolicy("exclude", _SPECIALS)}),
+        ({"special_tokens": (True, False)},
+         {"special_token_policy": SpecialTokenPolicy("include", _SPECIALS)}),
+    ],
+}
 
 
 def run_ablation(config: TrainConfig, grid: str = "table5",
                  seeds: list[int] | None = None) -> list[dict]:
-    """One run per toggle combination and seed, joined into one table.
+    """One run per arm of the grid and seed, joined into one table.
 
     ``grid`` is "table5" (vocabulary x token norm) or "table6" (which
     token groups write the vocabulary). All arms share the data seed so
@@ -389,27 +382,22 @@ def run_ablation(config: TrainConfig, grid: str = "table5",
     across replication seeds, never across arms.
     """
     seeds = seeds or [1, 2, 3]
-    rows = []
-    if grid == "table5":
-        combos = [{"ptb_vocab": v, "tok_norm": t} for v, t in TABLE5_GRID]
-    elif grid == "table6":
-        combos = [{"special_tokens": st} for st in TABLE6_GRID]
-    else:
+    if not isinstance(grid, str) or grid not in ABLATION_GRIDS:
         raise ValueError(f"unknown ablation grid {grid!r}")
 
-    for combo in combos:
+    rows = []
+    for label, overrides in ABLATION_GRIDS[grid]:
+        suffix = "-".join(f"{k}{v}" for k, v in label.items())
         metrics = []
         for s in seeds:
-            arm = _with_toggles(config, **combo)
-            arm.seeds = Seeds(init=s, data=config.seeds.data, adversarial=s + 1000)
-            arm.run_name = f"{config.run_name}-ablate-" + "-".join(
-                f"{k}{v}" for k, v in combo.items()) + f"-s{s}"
-            arm.emit_metrics = False
-            arm.save_ptb_vocab = False
-            result = train(arm)
-            metrics.append(result.dev_metric)
+            arm = dataclasses.replace(
+                config, adv=dataclasses.replace(config.adv, **overrides),
+                seeds=Seeds(init=s, data=config.seeds.data, adversarial=s + 1000),
+                run_name=f"{config.run_name}-ablate-{suffix}-s{s}",
+                emit_metrics=False, save_ptb_vocab=False)
+            metrics.append(train(arm).dev_metric)
         rows.append({
-            **{k: (list(v) if isinstance(v, tuple) else v) for k, v in combo.items()},
+            **{k: (list(v) if isinstance(v, tuple) else v) for k, v in label.items()},
             "per_seed": metrics,
             "mean": float(np.mean(metrics)),
             "std": float(np.std(metrics)),

@@ -580,16 +580,3 @@ class TestBatchStep:
         with pytest.raises(ConfigError, match="vocabulary"):
             tavat_batch_step(model, batch, None, AdvConfig(), SGD(0.05),
                              np.random.default_rng(0))
-
-    def test_separate_eta_bound_override(self):
-        """eta_epsilon decouples the token-perturbation ball from delta's."""
-        tok, batch = make_batch()
-        model = make_model(tok, seed=11)
-        cfg = AdvConfig(epsilon=1.0, eta_epsilon=0.1, sigma=0.05, alpha=0.5, K=3)
-        vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
-                                np.random.default_rng(18), meta={"epsilon": 0.1})
-        report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
-                                  np.random.default_rng(19))
-        assert max(example_norms(p).max() for p in report.etas[1:]) <= 0.1 + 1e-9
-        assert max(example_norms(p).max() for p in report.deltas[1:]) <= 1.0 + 1e-9
-        assert max(example_norms(p).max() for p in report.deltas[1:]) > 0.1

@@ -12,14 +12,14 @@ from oracles import cue_majority_oracle
 
 class TestTokenizer:
     def test_vocabulary_from_corpus(self):
-        tok = build_tokenizer("a b a")
+        tok = build_tokenizer(["a", "b", "a"])
         assert tok.vocab_size == 6
         assert tok.token_to_id["a"] == 4
         assert tok.token_to_id["b"] == 5
 
     def test_unseen_token_maps_to_unk(self):
-        tok = build_tokenizer("a b a")
-        assert tok.encode("a c") == [CLS, tok.token_to_id["a"], UNK, SEP]
+        tok = build_tokenizer(["a", "b", "a"])
+        assert tok.encode(["a", "c"], max_len=8) == [CLS, tok.token_to_id["a"], UNK, SEP]
 
     def test_fingerprint_stable(self):
         tokens = ["red", "green", "blue"]
@@ -29,11 +29,12 @@ class TestTokenizer:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build_tokenizer("")
+            build_tokenizer([])
 
     def test_truncation_keeps_sep_last(self):
-        tok = build_tokenizer("a b c d e f g h")
-        ids = tok.encode("a b c d e f g h", max_len=5)
+        words = list("abcdefgh")
+        tok = build_tokenizer(words)
+        ids = tok.encode(words, max_len=5)
         assert len(ids) == 5
         assert ids[0] == CLS and ids[-1] == SEP
 
@@ -133,14 +134,24 @@ class TestDelimited:
         path.write_text("some text\tmaybe\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown label"):
             load_delimited(path, {"text": 0, "label": 1})
-        examples = load_delimited(path, {"text": 0, "label": 1},
-                                  label_map={"maybe": 2})
-        assert examples[0].label == 2
+
+    def test_named_column_without_header_rejected(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("hello world\t0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="column 'text' is named but the file has no header"):
+            load_delimited(path, {"text": "text", "label": 1})
+
+    def test_header_without_named_column_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("text,target\nhello world,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="has no column 'label'"):
+            load_delimited(path, {"text": "text", "label": "label"},
+                           delimiter=",", has_header=True)
 
 
 class TestBatching:
     def encoded(self, lengths):
-        tok = build_tokenizer("w0 w1 w2 w3 w4 w5 w6 w7 w8 w9")
+        tok = build_tokenizer([f"w{i}" for i in range(10)])
         from tavat.data import Example
         examples = [Example(tokens=[f"w{i % 10}" for i in range(n)], label=0)
                     for n in lengths]

@@ -2,6 +2,7 @@
 import dataclasses
 import importlib
 import json
+import re
 import types
 
 import numpy as np
@@ -317,15 +318,27 @@ class TestConfigSerialization:
     def test_round_trip_through_dict(self, tmp_path):
         config = quick_config(tmp_path, run_name="roundtrip")
         rebuilt = config_from_dict(json.loads(json.dumps(config.to_dict())))
-        assert rebuilt.adv == config.adv
-        assert rebuilt.model == config.model
-        assert rebuilt.dataset == config.dataset
-        assert rebuilt.seeds == config.seeds
+        assert rebuilt == config
 
     @pytest.mark.parametrize("raw", [{"eval_train": True},
-                                     {"adv": {"scale_from_ascended": True}}])
+                                     {"adv": {"scale_from_ascended": True}},
+                                     {"weight_decay": 0.0},
+                                     {"adv": {"eta_epsilon": 0.1}}])
     def test_removed_fields_rejected(self, raw):
         with pytest.raises(TypeError, match="unexpected keyword"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"epochs": -1}, "epochs must be at least 0, got -1"),
+        ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+        ({"max_len": "24"}, "max_len must be an integer, got '24'"),
+        ({"max_len": 1}, "max_len must be at least 2, got 1"),
+    ])
+    def test_run_shape_checked_at_construction(self, raw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(raw)
 
 
@@ -381,6 +394,11 @@ class TestCLI:
         assert "special_tokens" in out
         table = config.resolved_out_dir() / "ablation-table6.json"
         assert table.exists() and len(json.loads(table.read_text())) == 3
+
+    def test_flags_checked_like_config_fields(self, tmp_path):
+        _, path = self.write_config(tmp_path, run_name="badflag")
+        with pytest.raises(ValueError, match="epochs must be at least 0, got -1"):
+            cli_main(["train", "--config", str(path), "--epochs", "-1"])
 
     def test_clean_mode_flag(self, tmp_path, capsys):
         _, path = self.write_config(tmp_path, run_name="cleanrun")
