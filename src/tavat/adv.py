@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .model import _is_int, _is_real
 from .tensor import Tensor, backward
 from .vocab import PerturbationVocabulary, gather, scatter
 
@@ -40,25 +41,27 @@ class NonFiniteGradient(FloatingPointError):
 class SpecialTokenPolicy:
     """Which token ids may participate in the perturbation vocabulary.
 
-    mode "exclude": listed ids are kept out (empty set means everyone
+    mode "exclude": listed ids are kept out (no ids means everyone
     participates); mode "include": only listed ids participate.
     """
 
     mode: str = "exclude"
-    ids: frozenset = frozenset()
+    ids: tuple = ()
 
     def __post_init__(self):
         if self.mode not in ("exclude", "include"):
             raise ConfigError(f"unknown special-token policy mode {self.mode!r}")
-        object.__setattr__(self, "ids", frozenset(self.ids))
+        if isinstance(self.ids, str) or not all(_is_int(i) for i in self.ids):
+            raise ConfigError(f"special-token ids must be integers, got {self.ids!r}")
+        object.__setattr__(self, "ids", tuple(sorted({int(i) for i in self.ids})))
 
     def permits(self, token_ids):
         """Whether each id may be written; one id gives one truth value, an array a mask."""
-        listed = np.isin(token_ids, list(self.ids))
+        listed = np.isin(token_ids, self.ids)
         return ~listed if self.mode == "exclude" else listed
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdvConfig:
     """Knobs of the adversarial loop; ablation switches included."""
 
@@ -68,22 +71,28 @@ class AdvConfig:
     K: int = 3
     use_vocab: bool = True
     use_token_norm: bool = True
-    use_instance_delta: bool = True
     special_token_policy: SpecialTokenPolicy = field(default_factory=SpecialTokenPolicy)
     mode: str = "tavat"                    # "tavat" | "freelb" | "pgd"
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in ("epsilon", "sigma", "alpha"):
+            value = getattr(self, name)
+            if not _is_real(value) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.sigma < 0:
             raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
         if self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ConfigError(f"K must be a positive integer, got {self.K}")
+        if not _is_int(self.K) or self.K < 1:
+            raise ConfigError(f"K must be a positive integer, got {self.K!r}")
+        for name in ("use_vocab", "use_token_norm"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.mode not in ("tavat", "freelb", "pgd"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode in ("freelb", "pgd") and (self.use_vocab or self.use_token_norm):
+        if self.mode in ("freelb", "pgd") and self.eta_active:
             raise ConfigError(f"mode={self.mode} requires use_vocab=False and use_token_norm=False")
 
     # delta and eta share one epsilon ball. bench/harness.py reads eta's
@@ -95,12 +104,8 @@ class AdvConfig:
     @property
     def eta_active(self) -> bool:
         # With both token-level features off the loop collapses to the
-        # single-perturbation baseline: only one perturbation remains.
-        return self.mode == "tavat" and (self.use_vocab or self.use_token_norm)
-
-    @property
-    def delta_active(self) -> bool:
-        return self.use_instance_delta or not self.eta_active
+        # single-perturbation baseline: only delta remains.
+        return self.use_vocab or self.use_token_norm
 
 
 @dataclass
@@ -122,8 +127,8 @@ class StepReport:
     """What one batch step did.
 
     ``deltas`` and ``etas`` hold K + 1 perturbations: the one each inner
-    step evaluated at, then the final one. A list is empty when its
-    perturbation is off.
+    step evaluated at, then the final one. ``etas`` is empty when both
+    token-level features are off.
     """
 
     losses: list
@@ -237,7 +242,6 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     has completed and the accumulated parameter gradient has been checked,
     so a non-finite abort leaves both (and the optimizer state) untouched.
     """
-    cfg.validate()
     if batch.size == 0:
         raise ValueError("empty batch")
     if cfg.use_vocab and vocab is None:
@@ -249,7 +253,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     dim = model.config.dim
     shape = (bsz, length, dim)
 
-    delta = init_delta(shape, cfg.sigma, mask, rng) if cfg.delta_active else None
+    delta = init_delta(shape, cfg.sigma, mask, rng)
     eta = None
     if cfg.eta_active:
         eta = (gather(vocab, ids, mask) if cfg.use_vocab
@@ -259,17 +263,14 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     inv_k = 1.0 / cfg.K
     losses: list[float] = []
     # each step rebinds delta and eta to new arrays, so these hold no copies
-    deltas = [delta] if cfg.delta_active else []
+    deltas = [delta]
     etas = [eta] if cfg.eta_active else []
 
     # parameters move only after the loop, so one embedding serves all K steps
     x = model.embed(batch)
     for t in range(cfg.K):
-        perturbed = x
-        dt = et = None
-        if cfg.delta_active:
-            dt = Tensor(delta, requires_grad=True)
-            perturbed = T.add(perturbed, dt)
+        dt = Tensor(delta, requires_grad=True)
+        perturbed = T.add(x, dt)
         if cfg.eta_active:
             et = Tensor(eta, requires_grad=True)
             perturbed = T.add(perturbed, et)
@@ -295,14 +296,13 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
             eta = token_step(eta, grads[et], cfg.alpha, cfg.epsilon, mask,
                              use_token_norm=cfg.use_token_norm, _step=t)
             etas.append(eta)
-        if cfg.delta_active:
-            delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
-            deltas.append(delta)
+        delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
+        deltas.append(delta)
         del grads       # before step t + 1's backward builds the next map
 
     for name, g in accum.sums.items():
         _check_finite(f"accumulated gradient of {name}", g)
-    if cfg.eta_active and cfg.use_vocab:
+    if cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
                 epsilon=cfg.epsilon)
     optimizer.step(model.params, accum.sums)

@@ -12,38 +12,34 @@ from pathlib import Path
 
 from .data import build_dataset, encode_examples, make_batches
 from .model import load_checkpoint, save_checkpoint
-from .train import (TrainConfig, config_from_dict, evaluate, format_ablation_table,
-                    run_ablation, train)
+from .train import (OPTIMIZERS, TrainConfig, config_from_dict, evaluate,
+                    format_ablation_table, run_ablation, train)
 from .vocab import apply_to_embedding, load_vocabulary
+
+
+# --mode: AdvConfig overrides; "clean" is plain fine-tuning, a single zero
+# perturbation at the only step
+MODES = {
+    "tavat": {"mode": "tavat"},
+    "freelb": {"mode": "freelb", "use_vocab": False, "use_token_norm": False},
+    "pgd": {"mode": "pgd", "use_vocab": False, "use_token_norm": False},
+    "clean": {"mode": "freelb", "use_vocab": False, "use_token_norm": False,
+              "sigma": 0.0, "K": 1},
+}
 
 
 def _load_config(args) -> TrainConfig:
     raw = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer"):
+    for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",
+                 "save_ptb_vocab", "init_embedding_from_vocab"):
         value = getattr(args, name, None)
         if value is not None:
             raw[name] = value
-    config = config_from_dict(raw)
     if getattr(args, "mode", None):
-        if args.mode == "clean":
-            # plain fine-tuning: a single zero perturbation at the only step
-            config.adv.mode = "freelb"
-            config.adv.use_vocab = False
-            config.adv.use_token_norm = False
-            config.adv.sigma = 0.0
-            config.adv.K = 1
-        else:
-            config.adv.mode = args.mode
-            if args.mode in ("freelb", "pgd"):
-                config.adv.use_vocab = False
-                config.adv.use_token_norm = False
-    if getattr(args, "save_ptb_vocab", False):
-        config.save_ptb_vocab = True
-    if getattr(args, "init_embedding_from_vocab", None):
-        config.init_embedding_from_vocab = args.init_embedding_from_vocab
-    return config
+        raw["adv"] = {**raw.get("adv", {}), **MODES[args.mode]}
+    return config_from_dict(raw)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -51,11 +47,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
-    p.add_argument("--mode", choices=["tavat", "freelb", "pgd", "clean"])
+    p.add_argument("--optimizer", choices=list(OPTIMIZERS))
+    p.add_argument("--mode", choices=list(MODES))
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--run-name", dest="run_name")
-    p.add_argument("--save-ptb-vocab", action="store_true", dest="save_ptb_vocab")
+    p.add_argument("--save-ptb-vocab", action="store_true", default=None,
+                   dest="save_ptb_vocab")
     p.add_argument("--init-embedding-from-vocab", dest="init_embedding_from_vocab")
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import _is_real
+
 PAD, CLS, SEP, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<cls>", "<sep>", "<unk>")
 
@@ -348,6 +350,15 @@ class DatasetSpec:
     split_seed: int = 13
     subsample_count: int | None = None
     subsample_fraction: float | None = None
+
+    def __post_init__(self):
+        for name in ("dev_fraction", "test_fraction"):
+            value = getattr(self, name)
+            if not _is_real(value) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if self.dev_fraction + self.test_fraction > 1.0:
+            raise ValueError(f"dev_fraction {self.dev_fraction} and test_fraction "
+                             f"{self.test_fraction} add up to more than 1")
 
 
 def build_dataset(spec: DatasetSpec, seed: int):

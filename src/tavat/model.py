@@ -25,6 +25,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -51,7 +55,7 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not isinstance(self.dropout, numbers.Real) or isinstance(self.dropout, bool):
+        if not _is_real(self.dropout):
             raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")

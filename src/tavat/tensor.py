@@ -16,7 +16,7 @@ results are bitwise those of the chain:
   q·kᵀ, fills masked keys, takes the softmax and merges the context;
 - ``layer_norm(a, gain, bias, residual)`` normalizes ``a + residual``.
 
-Broadcasting is deliberately narrow: the second operand of ``add``/``mul``
+Broadcasting is deliberately narrow: the second operand of ``add``
 and the ``bias`` of ``matmul`` may be a trailing-shape suffix of the
 first operand or product (bias over leading batch dims); anything else
 is a shape error. ``scale`` multiplies by a constant (scalar or plain
@@ -161,16 +161,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, _sum_to_suffix(g, b.shape)
 
     return _track(out, (a, b), vjp, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _suffix_check("mul", a, b)
-    out = a.data * b.data
-
-    def vjp(g):
-        return g * b.data, _sum_to_suffix(g * a.data, b.shape)
-
-    return _track(out, (a, b), vjp, "mul")
 
 
 def scale(a: Tensor, c) -> Tensor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -21,10 +22,10 @@ import numpy as np
 from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1)
-from .model import ModelConfig, TextModel, _is_int, save_checkpoint
+from .model import ModelConfig, TextModel, _is_int, _is_real, save_checkpoint
 from .tensor import Tensor
-from .vocab import (PerturbationVocabulary, apply_to_embedding, init_vocabulary,
-                    load_vocabulary, save_vocabulary)
+from .vocab import (apply_to_embedding, init_vocabulary, load_vocabulary,
+                    save_vocabulary)
 
 METRICS_SCHEMA = 1
 
@@ -64,12 +65,7 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
-def make_optimizer(kind: str, lr: float):
-    if kind == "sgd":
-        return SGD(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 
 @dataclass
@@ -103,16 +99,17 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not _is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
+            raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer kind {self.optimizer!r}")
 
     def resolved_out_dir(self) -> Path:
         root = self.out_dir or os.environ.get("TAVAT_OUT_DIR", "runs")
         return Path(root) / self.run_name
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["adv"]["special_token_policy"]["ids"] = sorted(
-            d["adv"]["special_token_policy"]["ids"])
-        return d
+        return dataclasses.asdict(self)
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
@@ -125,11 +122,8 @@ def config_from_dict(raw: dict) -> TrainConfig:
         raw.pop("model", None)
     if "adv" in raw:
         adv = dict(raw.pop("adv"))
-        if "special_token_policy" in adv and not isinstance(
-                adv["special_token_policy"], SpecialTokenPolicy):
-            pol = dict(adv["special_token_policy"])
-            pol["ids"] = frozenset(pol.get("ids", ()))
-            adv["special_token_policy"] = SpecialTokenPolicy(**pol)
+        if "special_token_policy" in adv:
+            adv["special_token_policy"] = SpecialTokenPolicy(**adv["special_token_policy"])
         kwargs["adv"] = AdvConfig(**adv)
     if "dataset" in raw:
         kwargs["dataset"] = DatasetSpec(**raw.pop("dataset"))
@@ -181,9 +175,7 @@ def summarize_records(records: list[dict]) -> dict:
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
     model: TextModel
-    vocab: PerturbationVocabulary | None
     dev_metric: float | None
     checkpoint_path: Path | None
     vocab_path: Path | None
@@ -257,7 +249,9 @@ def train(config: TrainConfig) -> TrainResult:
     """Run a full training job as configured; everything is seed-determined."""
     _pin_allocator()
     cfg = config
-    cfg.adv.validate()
+    tokenizer, train_ex, dev_ex, _ = build_dataset(cfg.dataset, seed=cfg.seeds.data)
+    if cfg.epochs and not train_ex:
+        raise ValueError(f"the training split is empty: {cfg.epochs} epochs would run no step")
     out_dir = cfg.resolved_out_dir() if (cfg.out_dir or cfg.emit_metrics
                                          or cfg.save_ptb_vocab) else None
     metrics_path = checkpoint_path = vocab_path = None
@@ -266,7 +260,6 @@ def train(config: TrainConfig) -> TrainResult:
         metrics_path = out_dir / "metrics.jsonl" if cfg.emit_metrics else None
         checkpoint_path = out_dir / "checkpoint.bin"
 
-    tokenizer, train_ex, dev_ex, _ = build_dataset(cfg.dataset, seed=cfg.seeds.data)
     fingerprint = tokenizer.fingerprint()
     tagging = cfg.dataset.source == "synthetic-tagging"
 
@@ -298,7 +291,7 @@ def train(config: TrainConfig) -> TrainResult:
                                                "epsilon": cfg.adv.epsilon,
                                                "fingerprint": fingerprint})
 
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
+    optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     encoded_train = encode_examples(tokenizer, train_ex, cfg.max_len)
     encoded_dev = encode_examples(tokenizer, dev_ex, cfg.max_len)
     dev_batches = make_batches(encoded_dev, cfg.batch_size) if encoded_dev else []
@@ -339,8 +332,7 @@ def train(config: TrainConfig) -> TrainResult:
     finally:
         writer.close()
 
-    return TrainResult(config=cfg, model=model, vocab=vocab, dev_metric=dev_metric,
-                       checkpoint_path=checkpoint_path,
+    return TrainResult(model=model, dev_metric=dev_metric, checkpoint_path=checkpoint_path,
                        vocab_path=vocab_path, metrics_path=metrics_path,
                        tokenizer_fingerprint=fingerprint)
 
@@ -348,7 +340,7 @@ def train(config: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 # ablations
 
-_SPECIALS = frozenset({CLS, SEP, UNK})
+_SPECIALS = (CLS, SEP, UNK)
 
 # grid -> (row label, AdvConfig overrides) per arm
 ABLATION_GRIDS = {
@@ -363,7 +355,7 @@ ABLATION_GRIDS = {
     # which token groups write the vocabulary: (special tokens, normal tokens)
     "table6": [
         ({"special_tokens": (True, True)},
-         {"special_token_policy": SpecialTokenPolicy("exclude", frozenset())}),
+         {"special_token_policy": SpecialTokenPolicy("exclude", ())}),
         ({"special_tokens": (False, True)},
          {"special_token_policy": SpecialTokenPolicy("exclude", _SPECIALS)}),
         ({"special_tokens": (True, False)},

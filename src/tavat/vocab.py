@@ -62,7 +62,7 @@ def gather(vocab: PerturbationVocabulary, token_ids: np.ndarray,
     if ids.size and (ids.min() < 0 or ids.max() >= vocab.vocab_size):
         raise IndexError(
             f"gather: token id out of range [0, {vocab.vocab_size}): max={ids.max()}")
-    out = vocab.table[ids].copy()
+    out = vocab.table[ids]             # integer-array indexing copies
     out[~np.asarray(mask, dtype=bool)] = 0.0
     return out
 

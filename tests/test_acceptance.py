@@ -347,7 +347,7 @@ class TestAcceptance:
 
         def clean_cfg():
             return AdvConfig(mode="freelb", use_vocab=False, use_token_norm=False,
-                             sigma=0.0, K=1, use_instance_delta=False)
+                             sigma=0.0, K=1)
 
         def tavat_cfg():
             return AdvConfig(epsilon=0.3, sigma=0.03, alpha=0.09, K=2)

@@ -1,4 +1,5 @@
 """Adversarial core: projection, scaling index, steps, the full batch loop."""
+import dataclasses
 import weakref
 
 import numpy as np
@@ -32,28 +33,37 @@ def make_model(tok, dim=16, seed=0, **overrides):
 class TestConfig:
     def test_bounds_validated(self):
         with pytest.raises(ConfigError):
-            AdvConfig(epsilon=0.0).validate()
+            AdvConfig(epsilon=0.0)
         with pytest.raises(ConfigError):
-            AdvConfig(sigma=-1.0).validate()
+            AdvConfig(sigma=-1.0)
         with pytest.raises(ConfigError):
-            AdvConfig(alpha=0.0).validate()
+            AdvConfig(alpha=0.0)
         with pytest.raises(ConfigError):
-            AdvConfig(K=0).validate()
+            AdvConfig(K=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"epsilon": float("nan")}, {"epsilon": float("inf")}, {"sigma": float("nan")},
+        {"alpha": float("inf")}, {"epsilon": "0.3"}, {"K": True}, {"K": 2.0},
+        {"use_vocab": "false"}, {"use_token_norm": 1},
+    ])
+    def test_ill_typed_values_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            AdvConfig(**kwargs)
+
+    def test_frozen(self):
+        cfg = AdvConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.K = 1
 
     def test_baseline_modes_forbid_token_features(self):
         with pytest.raises(ConfigError, match="freelb"):
-            AdvConfig(mode="freelb", use_vocab=True, use_token_norm=False).validate()
+            AdvConfig(mode="freelb", use_vocab=True, use_token_norm=False)
         with pytest.raises(ConfigError, match="pgd"):
-            AdvConfig(mode="pgd", use_vocab=False, use_token_norm=True).validate()
+            AdvConfig(mode="pgd", use_vocab=False, use_token_norm=True)
 
     def test_activation_semantics(self):
-        full = AdvConfig()
-        assert full.eta_active and full.delta_active
-        eta_only = AdvConfig(use_instance_delta=False)
-        assert eta_only.eta_active and not eta_only.delta_active
-        collapsed = AdvConfig(use_vocab=False, use_token_norm=False,
-                              use_instance_delta=False)
-        assert not collapsed.eta_active and collapsed.delta_active
+        assert AdvConfig().eta_active
+        assert not AdvConfig(use_vocab=False, use_token_norm=False).eta_active
 
     def test_policy(self):
         excl = SpecialTokenPolicy("exclude", frozenset({2}))
@@ -67,6 +77,12 @@ class TestConfig:
         assert SpecialTokenPolicy().permits(ids).all()
         with pytest.raises(ConfigError):
             SpecialTokenPolicy("banish", frozenset())
+        assert SpecialTokenPolicy("exclude", {3, 1, 2, 1}).ids == (1, 2, 3)
+
+    @pytest.mark.parametrize("ids", ["123", [1.5], [True]])
+    def test_policy_ids_must_be_integers(self, ids):
+        with pytest.raises(ConfigError, match="integers"):
+            SpecialTokenPolicy("exclude", ids)
 
 
 class TestInitDelta:
@@ -307,7 +323,7 @@ class TestBatchStep:
         model = make_model(tok, seed=2)
         clean_model = model.snapshot()
         cfg = AdvConfig(mode="tavat", use_vocab=False, use_token_norm=False,
-                        use_instance_delta=False, sigma=0.0, K=1)
+                        sigma=0.0, K=1)
         report = tavat_batch_step(model, batch, None, cfg, SGD(0.0),
                                   np.random.default_rng(0))
         logits = clean_model.forward(batch)

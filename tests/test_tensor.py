@@ -9,6 +9,16 @@ from tavat.tensor import Tensor, backward, cross_entropy_loss, topo_order
 from oracles import finite_difference_gradient
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product, ``b`` broadcast as a trailing-shape suffix like ``add``'s."""
+    T._suffix_check("mul", a, b)
+
+    def vjp(g):
+        return g * b.data, T._sum_to_suffix(g * a.data, b.shape)
+
+    return T._track(a.data * b.data, (a, b), vjp, "mul")
+
+
 class TestForwardOps:
     def test_matmul_identity_padded(self):
         """A 3x2 identity-padded right operand picks out the left columns."""
@@ -98,7 +108,7 @@ class TestBackward:
 
     def test_half_square_norm_gives_x(self):
         x = Tensor(np.random.default_rng(1).normal(size=(5,)), requires_grad=True)
-        loss = T.scale(T.reduce_sum(T.mul(x, x)), 0.5)
+        loss = T.scale(T.reduce_sum(mul(x, x)), 0.5)
         grads = backward(loss)
         np.testing.assert_allclose(grads[x], x.data, atol=1e-15)
 
@@ -143,7 +153,7 @@ class TestBackward:
     def test_backward_map_is_the_only_gradient_channel(self):
         """Repeated backward calls return equal maps and write no tensor."""
         x = Tensor(np.arange(4.0), requires_grad=True)
-        square = T.mul(x, x)
+        square = mul(x, x)
         loss = T.reduce_sum(square)
         first = backward(loss)
         second = backward(loss)
@@ -159,7 +169,7 @@ class TestBackward:
         """Interior adjoints are dropped; untracked constants get no entry."""
         x = Tensor(np.arange(4.0), requires_grad=True)
         w = Tensor(np.ones(4), requires_grad=True)
-        y = T.mul(x, w)
+        y = mul(x, w)
         loss = T.reduce_sum(T.add(T.add(y, y), T.scale(Tensor(np.ones(4)), 2.0)))
         grads = backward(loss)
         leaves = {t for t in topo_order(loss) if t.requires_grad and t._vjp is None}
@@ -170,7 +180,7 @@ class TestBackward:
     def test_map_does_not_keep_the_tape_alive(self):
         """Once the loss is dropped, no interior array is reachable from the map."""
         x = Tensor(np.arange(-2.0, 2.0), requires_grad=True)
-        hidden = T.relu(T.mul(x, x))
+        hidden = T.relu(mul(x, x))
         probe = weakref.ref(hidden.data)
         grads = backward(T.reduce_sum(hidden))
         del hidden
@@ -180,13 +190,13 @@ class TestBackward:
     def test_diamond_graph_gradient(self):
         """Shared subexpressions accumulate both path contributions."""
         x = Tensor([2.0], requires_grad=True)
-        y = T.mul(x, x)
+        y = mul(x, x)
         loss = T.reduce_sum(T.add(y, y))
         np.testing.assert_allclose(backward(loss)[x], [8.0])
 
     def test_topological_order(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        y = T.mul(x, x)
+        y = mul(x, x)
         z = T.add(y, x)
         loss = T.reduce_sum(z)
         order = topo_order(loss)
@@ -224,22 +234,22 @@ class TestFiniteDifferenceConsistency:
         a = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, size=(4, 2)), requires_grad=True)
         c = Tensor(rng.uniform(-1, 1, size=(2,)), requires_grad=True)
-        _fd_matches(lambda: T.reduce_sum(T.mul(T.add(T.matmul(a, b), c),
-                                               T.add(T.matmul(a, b), c))), [a, b, c])
+        _fd_matches(lambda: T.reduce_sum(mul(T.add(T.matmul(a, b), c),
+                                             T.add(T.matmul(a, b), c))), [a, b, c])
 
     def test_batched_matmul(self):
         rng = np.random.default_rng(12)
         a = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, size=(2, 4, 3)), requires_grad=True)
-        _fd_matches(lambda: T.reduce_sum(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
+        _fd_matches(lambda: T.reduce_sum(mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
 
     def test_layer_norm(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.uniform(-1, 1, size=(4, 6)), requires_grad=True)
         g = Tensor(rng.uniform(0.5, 1.5, size=(6,)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, size=(6,)), requires_grad=True)
-        _fd_matches(lambda: T.reduce_sum(T.mul(T.layer_norm(x, g, b),
-                                               T.layer_norm(x, g, b))), [x, g, b])
+        _fd_matches(lambda: T.reduce_sum(mul(T.layer_norm(x, g, b),
+                                             T.layer_norm(x, g, b))), [x, g, b])
 
     def test_softmax_and_mask_fill(self):
         rng = np.random.default_rng(14)
@@ -249,7 +259,7 @@ class TestFiniteDifferenceConsistency:
         def build():
             masked = T.mask_fill(x, mask, -1e9)
             probs = T.softmax(masked)
-            return T.reduce_sum(T.mul(probs, probs))
+            return T.reduce_sum(mul(probs, probs))
 
         _fd_matches(build, [x])
 
@@ -261,7 +271,7 @@ class TestFiniteDifferenceConsistency:
             h = T.relu(T.scale(x, 1.7))
             h = T.transpose(h, (0, 2, 1))
             h = T.reshape(h, (2, 12))
-            return T.reduce_sum(T.mul(h, h))
+            return T.reduce_sum(mul(h, h))
 
         _fd_matches(build, [x])
 
@@ -288,7 +298,7 @@ class TestFiniteDifferenceConsistency:
 
         def build():
             out = T.matmul(x, w, b)
-            return T.reduce_sum(T.mul(out, out))
+            return T.reduce_sum(mul(out, out))
 
         _fd_matches(build, [x, w, b])
 
@@ -299,7 +309,7 @@ class TestFiniteDifferenceConsistency:
         g = Tensor(rng.uniform(0.5, 1.5, size=(6,)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, size=(6,)), requires_grad=True)
         weights = Tensor(rng.uniform(-1, 1, size=(4, 6)))
-        _fd_matches(lambda: T.reduce_sum(T.mul(T.layer_norm(x, g, b, residual=r), weights)),
+        _fd_matches(lambda: T.reduce_sum(mul(T.layer_norm(x, g, b, residual=r), weights)),
                     [x, r, g, b])
 
     def test_attention(self):
@@ -310,7 +320,7 @@ class TestFiniteDifferenceConsistency:
         weights = Tensor(rng.uniform(-1, 1, size=(2, 5, 8)))
 
         def build():
-            return T.reduce_sum(T.mul(T.attention(q, k, v, key_mask, 2, -1e9), weights))
+            return T.reduce_sum(mul(T.attention(q, k, v, key_mask, 2, -1e9), weights))
 
         _fd_matches(build, [q, k, v])
 
@@ -342,7 +352,7 @@ def _taped(build, inputs, rng):
     """Forward output and every input's gradient under a random upstream gradient."""
     out = build(*inputs)
     upstream = Tensor(rng.uniform(-1, 1, size=out.shape))
-    grads = backward(T.reduce_sum(T.mul(out, upstream)))
+    grads = backward(T.reduce_sum(mul(out, upstream)))
     return out.data, [grads[t] for t in inputs]
 
 

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from tavat.adv import AdvConfig
-from tavat.cli import main as cli_main
+from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import DatasetSpec, make_batches, Batch
 from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from tavat.train import (Seeds, TrainConfig, config_from_dict, evaluate,
                          format_ablation_table, parse_metrics, run_ablation,
                          summarize_records, train)
+from test_golden import load_workloads
 
 
 def quick_config(tmp_path, run_name="run", **adv_overrides):
@@ -82,6 +83,13 @@ class TestTrainBasics:
         for name in init_model.params:
             np.testing.assert_array_equal(loaded.params[name].data,
                                           init_model.params[name].data)
+
+    def test_empty_training_split_rejected_before_any_file(self, tmp_path):
+        config = quick_config(tmp_path, run_name="nodata")
+        config.dataset = DatasetSpec(n=120, noise=0.1, dev_fraction=1.0)
+        with pytest.raises(ValueError, match="training split is empty"):
+            train(config)
+        assert not config.resolved_out_dir().exists()
 
     def test_training_improves_over_init(self, tmp_path):
         config = quick_config(tmp_path, run_name="learn", epsilon=0.3,
@@ -247,8 +255,7 @@ class TestEvaluate:
 
 class TestMetricsStream:
     def test_step_records_carry_k_losses(self, tmp_path):
-        config = quick_config(tmp_path, run_name="metrics")
-        config.adv.K = 3
+        config = quick_config(tmp_path, run_name="metrics", K=3)
         result = train(config)
         steps = [r for r in parse_metrics(result.metrics_path) if r["kind"] == "step"]
         assert steps and all(len(r["losses"]) == 3 for r in steps)
@@ -323,7 +330,8 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("raw", [{"eval_train": True},
                                      {"adv": {"scale_from_ascended": True}},
                                      {"weight_decay": 0.0},
-                                     {"adv": {"eta_epsilon": 0.1}}])
+                                     {"adv": {"eta_epsilon": 0.1}},
+                                     {"adv": {"use_instance_delta": False}}])
     def test_removed_fields_rejected(self, raw):
         with pytest.raises(TypeError, match="unexpected keyword"):
             config_from_dict(raw)
@@ -336,6 +344,14 @@ class TestConfigSerialization:
         ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
         ({"max_len": "24"}, "max_len must be an integer, got '24'"),
         ({"max_len": 1}, "max_len must be at least 2, got 1"),
+        ({"lr": "0.05"}, "lr must be a finite positive number, got '0.05'"),
+        ({"lr": float("nan")}, "lr must be a finite positive number, got nan"),
+        ({"lr": 0.0}, "lr must be a finite positive number, got 0.0"),
+        ({"optimizer": "adamw"}, "unknown optimizer kind 'adamw'"),
+        ({"dataset": {"dev_fraction": -0.5}}, "dev_fraction must be a number in [0, 1], got -0.5"),
+        ({"dataset": {"test_fraction": 1.5}}, "test_fraction must be a number in [0, 1], got 1.5"),
+        ({"dataset": {"dev_fraction": 0.6, "test_fraction": 0.5}},
+         "dev_fraction 0.6 and test_fraction 0.5 add up to more than 1"),
     ])
     def test_run_shape_checked_at_construction(self, raw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -399,6 +415,22 @@ class TestCLI:
         _, path = self.write_config(tmp_path, run_name="badflag")
         with pytest.raises(ValueError, match="epochs must be at least 0, got -1"):
             cli_main(["train", "--config", str(path), "--epochs", "-1"])
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_mode_rows_build(self, tmp_path, mode):
+        config, path = self.write_config(tmp_path)
+        built = _load_config(types.SimpleNamespace(config=str(path), mode=mode))
+        assert built.adv == dataclasses.replace(config.adv, **MODES[mode])
+
+    def test_clean_mode_is_the_clean_workload(self, tmp_path):
+        clean = load_workloads().make_config("tagging-clean", 1, tmp_path).adv
+        assert _load_config(types.SimpleNamespace(config=None, mode="clean")).adv == clean
+
+    def test_config_keeps_save_ptb_vocab_without_the_flag(self, tmp_path, capsys):
+        config, path = self.write_config(tmp_path, run_name="keepvocab")
+        assert cli_main(["train", "--config", str(path), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert (config.resolved_out_dir() / "ptb_vocab.bin").exists()
 
     def test_clean_mode_flag(self, tmp_path, capsys):
         _, path = self.write_config(tmp_path, run_name="cleanrun")

@@ -56,6 +56,13 @@ class TestGather:
         out = gather(v, np.array([[5, 0]]), np.array([[True, False]]))
         assert (out[0, 1] == 0.0).all()
 
+    def test_result_does_not_alias_the_table(self):
+        v = init_vocabulary(10, 3, 0.5, np.random.default_rng(5))
+        before = v.table.copy()
+        out = gather(v, np.array([[5, 6]]), np.ones((1, 2), dtype=bool))
+        out[...] = 7.0
+        np.testing.assert_array_equal(v.table, before)
+
     def test_id_out_of_range(self):
         v = init_vocabulary(4, 3, 0.1, np.random.default_rng(0))
         with pytest.raises(IndexError, match="out of range"):
