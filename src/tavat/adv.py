@@ -16,6 +16,7 @@ point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,8 @@ class SpecialTokenPolicy:
     def __post_init__(self):
         if self.mode not in ("exclude", "include"):
             raise ConfigError(f"unknown special-token policy mode {self.mode!r}")
-        if isinstance(self.ids, str) or not all(_is_int(i) for i in self.ids):
+        if (isinstance(self.ids, str) or not isinstance(self.ids, Iterable)
+                or not all(_is_int(i) for i in self.ids)):
             raise ConfigError(f"special-token ids must be integers, got {self.ids!r}")
         object.__setattr__(self, "ids", tuple(sorted({int(i) for i in self.ids})))
 
@@ -110,13 +112,21 @@ class AdvConfig:
 
 @dataclass
 class AccumulatedGradient:
-    """Running parameter-gradient sum over the inner steps."""
+    """Running parameter-gradient sum over the inner steps.
+
+    A table's entry stays a ``RowGradient`` until ``tavat_batch_step``
+    densifies the sums for the optimizer.
+    """
 
     sums: dict = field(default_factory=dict)
 
     def add(self, named_grads, weight: float) -> None:
         for name, g in named_grads:
-            self.sums[name] = self.sums.get(name, 0.0) + weight * g
+            if name in self.sums:
+                # in place for an ndarray; a RowGradient's rows are summed anew
+                self.sums[name] += weight * g
+            else:
+                self.sums[name] = 0.0 + weight * g
 
     def replace(self, named_grads) -> None:
         self.sums = {name: g.copy() for name, g in named_grads}
@@ -301,7 +311,9 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         del grads       # before step t + 1's backward builds the next map
 
     for name, g in accum.sums.items():
-        _check_finite(f"accumulated gradient of {name}", g)
+        _check_finite(f"accumulated gradient of {name}",
+                      g.values if isinstance(g, T.RowGradient) else g)
+    accum.sums = {name: np.asarray(g) for name, g in accum.sums.items()}
     if cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
                 epsilon=cfg.epsilon)

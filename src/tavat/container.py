@@ -35,7 +35,7 @@ def json_object(value: dict) -> bytes:
 
 
 def f8(array: np.ndarray) -> bytes:
-    return np.asarray(array).astype("<f8").tobytes()
+    return np.asarray(array, dtype="<f8").tobytes()
 
 
 def write(path, magic: bytes, version: int, fields: list[bytes]) -> None:

@@ -29,6 +29,16 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_ints(config, least_by_name) -> None:
+    """Raise ValueError unless each named field is an integer no less than its bound."""
+    for name, least in least_by_name:
+        value = getattr(config, name)
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -47,14 +57,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.ffn_dim is None and _is_int(self.dim):
             self.ffn_dim = 4 * self.dim
-        for name, least in (("vocab_size", 1), ("dim", 1), ("blocks", 0), ("heads", 1),
-                            ("ffn_dim", 1), ("max_len", 1), ("classes", 1),
-                            ("dropout_seed", 0)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        _check_ints(self, (("vocab_size", 1), ("dim", 1), ("blocks", 0), ("heads", 1),
+                           ("ffn_dim", 1), ("max_len", 1), ("classes", 1), ("dropout_seed", 0)))
         if not _is_real(self.dropout):
             raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:

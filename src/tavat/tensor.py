@@ -363,8 +363,57 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
     return _track(out, (q, k, v), vjp, "attention")
 
 
+class RowGradient:
+    """Gradient of a table that is zero outside the rows a lookup touched.
+
+    ``rows`` is sorted and unique, and ``values[i]`` is the gradient of
+    row ``rows[i]``. ``np.asarray`` gives the dense table, ``+0.0`` off
+    ``rows``. Besides ``copy()`` it has only the arithmetic that
+    ``backward`` and a K-step sum do with a gradient: ``w * g`` for a
+    finite ``w >= 0``, ``0.0 + g``, and ``g + g`` over the union of rows.
+    Each evaluates the dense expression's arithmetic on the rows it keeps,
+    so densifying afterwards gives the dense result bit for bit.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows, self.values, self.shape = rows, values, shape
+
+    def _on(self, rows: np.ndarray) -> np.ndarray:
+        """The gradient on ``rows``, a sorted superset of its own."""
+        out = np.zeros((rows.size,) + self.shape[1:])
+        out[np.searchsorted(rows, self.rows)] = self.values
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def copy(self) -> RowGradient:
+        return RowGradient(self.rows, self.values.copy(), self.shape)
+
+    def __rmul__(self, w):
+        # off the rows w * 0.0 must stay +0.0: no negative, infinite or NaN w
+        if not (isinstance(w, (int, float)) and 0 <= w < math.inf):
+            return NotImplemented
+        return RowGradient(self.rows, w * self.values, self.shape)
+
+    def __radd__(self, c):
+        if not (isinstance(c, (int, float)) and c == 0):
+            return NotImplemented
+        return RowGradient(self.rows, c + self.values, self.shape)
+
+    def __add__(self, other):
+        if not isinstance(other, RowGradient) or other.shape != self.shape:
+            return NotImplemented
+        rows = np.union1d(self.rows, other.rows)
+        return RowGradient(rows, self._on(rows) + other._on(rows), self.shape)
+
+
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of an N x D table; gradient scatter-adds back by id."""
+    """Gather rows of an N x D table; the gradient sums back by id as a RowGradient."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError("embedding_lookup: ids must be integers")
@@ -375,11 +424,13 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
             f"min={ids.min()}, max={ids.max()}"
         )
     out = table.data[ids]
+    rows, slot = np.unique(ids, return_inverse=True)
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # np.add.at sums each row's occurrences in order, as a dense scatter would
+        values = np.zeros((rows.size,) + table.shape[1:])
+        np.add.at(values, slot.reshape(ids.shape), g)
+        return (RowGradient(rows, values, table.shape),)
 
     return _track(out, (table,), vjp, "embedding_lookup")
 

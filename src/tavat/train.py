@@ -22,7 +22,7 @@ import numpy as np
 from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1)
-from .model import ModelConfig, TextModel, _is_int, _is_real, save_checkpoint
+from .model import ModelConfig, TextModel, _check_ints, _is_real, save_checkpoint
 from .tensor import Tensor
 from .vocab import (apply_to_embedding, init_vocabulary, load_vocabulary,
                     save_vocabulary)
@@ -42,7 +42,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction; state keyed by parameter name."""
+    """Adam with bias correction; state keyed by parameter name.
+
+    The moments and the parameters are updated in place, through two
+    temporaries per parameter, in the operation order of
+    ``m = B1*m + (1-B1)*g``, ``v = B2*v + (1-B2)*g*g`` and
+    ``p - lr*(m/c1) / (sqrt(v/c2) + EPS)``.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -54,15 +60,28 @@ class Adam:
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
+        c1 = 1 - self.BETA1 ** self.t
+        c2 = 1 - self.BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
-            m = self.m.get(name, 0.0)
-            v = self.v.get(name, 0.0)
-            self.m[name] = m = self.BETA1 * m + (1 - self.BETA1) * g
-            self.v[name] = v = self.BETA2 * v + (1 - self.BETA2) * g * g
-            mhat = m / (1 - self.BETA1 ** self.t)
-            vhat = v / (1 - self.BETA2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            scratch = np.multiply(1 - self.BETA1, g)
+            m *= self.BETA1
+            m += scratch
+            np.multiply(1 - self.BETA2, g, out=scratch)
+            scratch *= g
+            v *= self.BETA2
+            v += scratch
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.EPS
+            update = np.divide(m, c1)
+            update *= self.lr
+            update /= scratch
+            p.data -= update
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}
@@ -73,6 +92,9 @@ class Seeds:
     init: int = 1
     data: int = 2
     adversarial: int = 3
+
+    def __post_init__(self):
+        _check_ints(self, (("init", 0), ("data", 0), ("adversarial", 0)))
 
 
 @dataclass
@@ -93,12 +115,7 @@ class TrainConfig:
     emit_metrics: bool = True
 
     def __post_init__(self):
-        for name, least in (("epochs", 0), ("batch_size", 1), ("max_len", 2)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        _check_ints(self, (("epochs", 0), ("batch_size", 1), ("max_len", 2)))
         if not _is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
             raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
         if self.optimizer not in OPTIMIZERS:

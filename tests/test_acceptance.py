@@ -71,7 +71,7 @@ class TestAcceptance:
         def check(target_tensor, n_coords):
             """A coordinate fails only above the 1e-8 absolute floor AND 1e-4 relative."""
             nonlocal worst, worst_pair, checked
-            ad_full = grads[target_tensor].reshape(-1)
+            ad_full = np.asarray(grads[target_tensor]).reshape(-1)
             coords = sorted(rng.choice(target_tensor.size,
                                        size=min(n_coords, target_tensor.size),
                                        replace=False))
@@ -248,7 +248,7 @@ class TestAcceptance:
                 grads = backward(before.loss(
                     before.forward_from_embeddings(perturbed, batch.mask), batch))
                 for name, p in before.params.items():
-                    recomputed[name] = recomputed[name] + grads[p] / cfg.K
+                    recomputed[name] = recomputed[name] + np.asarray(grads[p]) / cfg.K
             diff = max(np.abs(report.grad.sums[n] - recomputed[n]).max()
                        for n in recomputed)
             worst = max(worst, diff)

@@ -11,7 +11,7 @@ from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPo
                        scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
-from tavat.tensor import backward, topo_order
+from tavat.tensor import RowGradient, backward, topo_order
 from tavat.train import SGD, Adam, _step_record
 from tavat.vocab import init_vocabulary
 from oracles import reference_freelb_step, token_step_reference
@@ -79,7 +79,7 @@ class TestConfig:
             SpecialTokenPolicy("banish", frozenset())
         assert SpecialTokenPolicy("exclude", {3, 1, 2, 1}).ids == (1, 2, 3)
 
-    @pytest.mark.parametrize("ids", ["123", [1.5], [True]])
+    @pytest.mark.parametrize("ids", ["123", [1.5], [True], 5])
     def test_policy_ids_must_be_integers(self, ids):
         with pytest.raises(ConfigError, match="integers"):
             SpecialTokenPolicy("exclude", ids)
@@ -441,7 +441,7 @@ class TestBatchStep:
             grads = backward(before.loss(
                 before.forward_from_embeddings(perturbed, batch.mask), batch))
             for name, p in before.params.items():
-                recomputed[name] = recomputed[name] + grads[p] / cfg.K
+                recomputed[name] = recomputed[name] + np.asarray(grads[p]) / cfg.K
         for name in recomputed:
             assert np.abs(report.grad.sums[name] - recomputed[name]).max() <= 1e-10
 
@@ -462,23 +462,25 @@ class TestBatchStep:
             np.testing.assert_array_equal(
                 p.data[~np.isnan(p.data)], params_before[name][~np.isnan(params_before[name])])
 
-    def test_non_finite_parameter_gradient_aborts_before_any_update(self, monkeypatch):
-        """A NaN only in a parameter's gradient reaches neither parameters,
-        optimizer state nor vocabulary."""
+    @staticmethod
+    def _assert_poisoned_step_aborts(monkeypatch, name, poison):
+        """A step whose gradient of ``name`` ``poison`` made non-finite moves nothing."""
         tok, batch = make_batch()
         model = make_model(tok, seed=9)
         cfg = AdvConfig(epsilon=1.0, sigma=0.01, alpha=0.3, K=2)
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
                                 np.random.default_rng(14), meta={"epsilon": 1.0})
         optimizer = Adam(0.01)
-        tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(15))
+        first = tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(15))
+        # the optimizer and the report see dense sums
+        assert all(type(g) is np.ndarray for g in first.grad.sums.values())
 
-        poisoned = model.params["block0.ffn.w1.weight"]
+        poisoned = model.params[name]
 
         def poisoning_backward(loss):
             grads = backward(loss)
             grads[poisoned] = grads[poisoned].copy()
-            grads[poisoned][0, 0] = np.nan
+            poison(grads[poisoned])
             return grads
 
         monkeypatch.setattr(adv, "backward", poisoning_backward)
@@ -486,17 +488,32 @@ class TestBatchStep:
         params_before = {n: p.data.copy() for n, p in model.params.items()}
         state_before = (optimizer.t, {n: m.copy() for n, m in optimizer.m.items()},
                         {n: v.copy() for n, v in optimizer.v.items()})
-        with pytest.raises(NonFiniteGradient, match="block0.ffn.w1.weight"):
+        with pytest.raises(NonFiniteGradient, match=name):
             tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(16))
 
         np.testing.assert_array_equal(vocab.table, table_before)
-        for name, p in model.params.items():
-            np.testing.assert_array_equal(p.data, params_before[name])
+        for key, p in model.params.items():
+            np.testing.assert_array_equal(p.data, params_before[key])
         assert optimizer.t == state_before[0]
         for now, before in ((optimizer.m, state_before[1]), (optimizer.v, state_before[2])):
             assert now.keys() == before.keys()
-            for name in now:
-                np.testing.assert_array_equal(now[name], before[name])
+            for key in now:
+                np.testing.assert_array_equal(now[key], before[key])
+
+    def test_non_finite_parameter_gradient_aborts_before_any_update(self, monkeypatch):
+        """A NaN only in a parameter's gradient reaches neither parameters,
+        optimizer state nor vocabulary."""
+        def poison(g):
+            g[0, 0] = np.nan
+        self._assert_poisoned_step_aborts(monkeypatch, "block0.ffn.w1.weight", poison)
+
+    def test_non_finite_embedding_row_aborts_before_any_update(self, monkeypatch):
+        """The finite check reads the embedding gradient's touched rows, before
+        anything densifies it or moves."""
+        def poison(g):
+            assert isinstance(g, RowGradient)
+            g.values[-1, 3] = np.nan
+        self._assert_poisoned_step_aborts(monkeypatch, "embedding.weight", poison)
 
     def test_toggles_are_orthogonal(self, monkeypatch):
         """Flipping ptb_vocab leaves token-norm-gated paths untouched and vice versa;

@@ -3,11 +3,13 @@ import builtins
 import errno
 import json
 import os
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from tavat import container
 from tavat.model import (CheckpointFormatError, ModelConfig, TextModel, load_checkpoint,
                          save_checkpoint)
 from tavat.vocab import (VocabularyFormatError, init_vocabulary, load_vocabulary,
@@ -105,6 +107,14 @@ def test_save_fsyncs_the_file_then_its_directory(kind, tmp_path, monkeypatch):
     save(make(1), path)
     # the temp file's inode is the target's after the rename
     assert synced == [path.stat().st_ino, tmp_path.stat().st_ino]
+
+
+@pytest.mark.parametrize("array", [np.arange(6.0).reshape(2, 3), np.arange(6.0, dtype=">f8"),
+                                   np.arange(6, dtype=np.float32), np.arange(12.0).reshape(3, 4).T,
+                                   [1, 2, 3]])
+def test_f8_is_little_endian_float64_in_row_major_order(array):
+    values = [float(x) for x in np.ravel(array)]
+    assert container.f8(array) == struct.pack(f"<{len(values)}d", *values)
 
 
 def _flipped_files(raw, float_spans, path):

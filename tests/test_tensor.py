@@ -1,4 +1,5 @@
 """Tensor core: op semantics, autodiff correctness, graph behavior."""
+import math
 import weakref
 
 import numpy as np
@@ -221,7 +222,7 @@ def _fd_matches(build_loss, params, tol=1e-4, floor=1e-8, n_coords=10, seed=0):
             return value
 
         fd = finite_difference_gradient(loss_at, p.data, coords)
-        ad = grads[p].reshape(-1)[coords]
+        ad = np.asarray(grads[p]).reshape(-1)[coords]
         err = np.abs(fd - ad) / np.maximum(np.maximum(np.abs(fd), np.abs(ad)), floor)
         assert err.max() <= tol, f"max rel err {err.max()}"
 
@@ -437,3 +438,81 @@ class TestFusedOpsMatchTheirChains:
             T.attention(x, x, x, mask, 3, FILL)
         with pytest.raises(T.ShapeError, match="key mask"):
             T.attention(x, x, x, mask[:, :2], 2, FILL)
+
+
+def _dense_scatter(shape, ids, upstream):
+    """The embedding gradient as a dense zeros_like plus np.add.at scatter."""
+    out = np.zeros(shape)
+    np.add.at(out, ids, upstream)
+    return out
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+class TestRowGradient:
+    """The embedding vjp's compact gradient densifies to the dense scatter, bit for bit."""
+
+    # repeated ids, pads (id 0) and a row (4) whose one upstream slice is -0.0
+    IDS = np.array([[3, 1, 3, 0], [4, 3, 0, 0], [1, 6, 6, 3]])
+
+    def upstream(self, rng):
+        g = rng.uniform(-1, 1, size=self.IDS.shape + (5,))
+        g[1, 0] = -0.0
+        return g
+
+    def test_lookup_gradient_matches_dense_scatter(self):
+        rng = np.random.default_rng(21)
+        table = Tensor(rng.uniform(-1, 1, size=(9, 5)), requires_grad=True)
+        g = self.upstream(rng)
+        grads = backward(T.reduce_sum(mul(T.embedding_lookup(table, self.IDS), Tensor(g))))
+        compact = grads[table]
+        assert isinstance(compact, T.RowGradient)
+        np.testing.assert_array_equal(compact.rows, [0, 1, 3, 4, 6])
+        assert _bits(compact) == _bits(_dense_scatter(table.shape, self.IDS, g))
+
+    def test_untouched_rows_are_positive_zero(self):
+        rng = np.random.default_rng(22)
+        table = Tensor(rng.uniform(-1, 1, size=(9, 5)), requires_grad=True)
+        grads = backward(T.reduce_sum(mul(T.embedding_lookup(table, self.IDS),
+                                          Tensor(self.upstream(rng)))))
+        dense = np.asarray(grads[table])
+        untouched = np.setdiff1d(np.arange(9), self.IDS)
+        assert (dense[untouched] == 0.0).all()
+        assert not np.signbit(dense[untouched]).any()
+        assert not np.signbit(dense[4]).any()     # 0.0 + -0.0 is +0.0, as in the scatter
+
+    def test_table_looked_up_twice_sums_over_the_row_union(self):
+        rng = np.random.default_rng(23)
+        table = Tensor(rng.uniform(-1, 1, size=(9, 5)), requires_grad=True)
+        other = np.array([[8, 1], [0, 2]])
+        g1, g2 = self.upstream(rng), rng.uniform(-1, 1, size=(2, 2, 5))
+        loss = T.add(T.reduce_sum(mul(T.embedding_lookup(table, self.IDS), Tensor(g1))),
+                     T.reduce_sum(mul(T.embedding_lookup(table, other), Tensor(g2))))
+        compact = backward(loss)[table]
+        np.testing.assert_array_equal(compact.rows, [0, 1, 2, 3, 4, 6, 8])
+        expected = (_dense_scatter(table.shape, self.IDS, g1)
+                    + _dense_scatter(table.shape, other, g2))
+        assert _bits(compact) == _bits(expected)
+
+    def test_arithmetic_matches_the_dense_expression(self):
+        """``0.0 + w * g``, ``g + g`` and ``copy`` keep the dense bits, signed zeros
+        and NaN included."""
+        shape = (6, 2)
+        a = T.RowGradient(np.array([1, 3]), np.array([[-0.0, 2.0], [-0.0, np.nan]]), shape)
+        b = T.RowGradient(np.array([3, 5]), np.array([[-0.0, 1.0], [4.0, -0.0]]), shape)
+        da, db = np.asarray(a), np.asarray(b)
+        assert _bits(0.0 + 0.25 * a) == _bits(0.0 + 0.25 * da)
+        assert _bits(a + b) == _bits(da + db)
+        assert _bits(b + a) == _bits(db + da)
+        copied = a.copy()
+        copied.values[0, 1] = 9.0
+        assert _bits(a) == _bits(da)
+
+    @pytest.mark.parametrize("expression", [lambda g: -1.0 * g, lambda g: math.inf * g,
+                                            lambda g: 1.0 + g])
+    def test_arithmetic_that_would_fill_untouched_rows_is_refused(self, expression):
+        g = T.RowGradient(np.array([1]), np.ones((1, 2)), (3, 2))
+        with pytest.raises(TypeError):
+            expression(g)

@@ -12,7 +12,8 @@ from tavat.adv import AdvConfig
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import DatasetSpec, make_batches, Batch
 from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
-from tavat.train import (Seeds, TrainConfig, config_from_dict, evaluate,
+from tavat.tensor import Tensor
+from tavat.train import (Adam, Seeds, TrainConfig, config_from_dict, evaluate,
                          format_ablation_table, parse_metrics, run_ablation,
                          summarize_records, train)
 from test_golden import load_workloads
@@ -64,6 +65,40 @@ class TestAllocatorPin:
         train_module = importlib.import_module("tavat.train")
         monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: object())
         assert train_module._pin_allocator() is None
+
+
+class TestAdam:
+    LR = 0.003
+
+    @staticmethod
+    def dense_step(m, v, p, g, t, lr):
+        """Adam written as fresh-array expressions: the order the in-place step keeps."""
+        b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        return m, v, p - lr * mhat / (np.sqrt(vhat) + eps)
+
+    def test_in_place_step_matches_the_dense_expression_bitwise(self):
+        rng = np.random.default_rng(31)
+        shapes = {"table": (40, 8), "bias": (8,)}
+        params = {n: Tensor(rng.uniform(-1, 1, size=s), requires_grad=True)
+                  for n, s in shapes.items()}
+        buffers = {n: p.data for n, p in params.items()}
+        expected = {n: (0.0, 0.0, p.data.copy()) for n, p in params.items()}
+        optimizer = Adam(self.LR)
+        for t in (1, 2, 3):
+            grads = {n: rng.normal(scale=10.0 ** -t, size=s) for n, s in shapes.items()}
+            grads["table"][::3] = 0.0       # rows no lookup touched
+            grads["table"][1, :2] = -0.0
+            optimizer.step(params, grads)
+            for n, p in params.items():
+                m, v, want = expected[n] = self.dense_step(*expected[n], grads[n], t, self.LR)
+                assert p.data.tobytes() == want.tobytes()
+                assert optimizer.m[n].tobytes() == m.tobytes()
+                assert optimizer.v[n].tobytes() == v.tobytes()
+                assert p.data is buffers[n]
 
 
 class TestTrainBasics:
@@ -352,6 +387,18 @@ class TestConfigSerialization:
         ({"dataset": {"test_fraction": 1.5}}, "test_fraction must be a number in [0, 1], got 1.5"),
         ({"dataset": {"dev_fraction": 0.6, "test_fraction": 0.5}},
          "dev_fraction 0.6 and test_fraction 0.5 add up to more than 1"),
+        ({"dataset": {"n": "100"}}, "n must be an integer, got '100'"),
+        ({"dataset": {"n": 0}}, "n must be at least 1, got 0"),
+        ({"dataset": {"classes": True}}, "classes must be an integer, got True"),
+        ({"dataset": {"classes": 1}}, "classes must be at least 2, got 1"),
+        ({"dataset": {"split_seed": 1.5}}, "split_seed must be an integer, got 1.5"),
+        ({"dataset": {"split_seed": -1}}, "split_seed must be at least 0, got -1"),
+        ({"dataset": {"subsample_count": 10.0}}, "subsample_count must be an integer, got 10.0"),
+        ({"dataset": {"subsample_count": -1}}, "subsample_count must be at least 0, got -1"),
+        ({"seeds": {"init": "1"}}, "init must be an integer, got '1'"),
+        ({"seeds": {"data": 1.5}}, "data must be an integer, got 1.5"),
+        ({"seeds": {"adversarial": True}}, "adversarial must be an integer, got True"),
+        ({"seeds": {"data": -2}}, "data must be at least 0, got -2"),
     ])
     def test_run_shape_checked_at_construction(self, raw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
