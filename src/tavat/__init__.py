@@ -1,7 +1,7 @@
 """Token-aware virtual adversarial training at desk scale.
 
 A self-contained float64 training engine: a minimal reverse-mode
-autodiff tensor core, a small transformer (or MLP) text model with a
+autodiff tensor core, a small transformer text model with a
 perturbation injection point, the dual instance/token perturbation
 inner loop with a global per-token perturbation vocabulary, PGD and
 single-perturbation baselines as configuration reductions. The
@@ -12,7 +12,7 @@ from .adv import (AccumulatedGradient, AdvConfig, SpecialTokenPolicy, init_delta
                   token_step)
 from .data import (Batch, DatasetSpec, Example, Tokenizer, build_tokenizer,
                    generate_synthetic_classification, generate_synthetic_tagging,
-                   load_delimited, make_batches, subsample)
+                   load_delimited, make_batches)
 from .model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from .tensor import Tensor, backward, cross_entropy_loss
 from .train import TrainConfig, evaluate, run_ablation, train

@@ -285,7 +285,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
             et = Tensor(eta, requires_grad=True)
             perturbed = T.add(perturbed, et)
 
-        logits = model.forward_from_embeddings(perturbed, mask, train=True)
+        logits = model.forward_from_embeddings(perturbed, mask)
         loss = model.loss(logits, batch)
         value = loss.item()
         if not math.isfinite(value):

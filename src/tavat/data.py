@@ -307,21 +307,6 @@ def make_batches(encoded, batch_size: int, seed: int | None = None,
     return batches
 
 
-def subsample(examples, count: int | None = None, fraction: float | None = None,
-              seed: int = 0):
-    """Uniform sample without replacement, preserving original order."""
-    if (count is None) == (fraction is None):
-        raise ValueError("specify exactly one of count or fraction")
-    n = len(examples)
-    k = count if count is not None else int(round(fraction * n))
-    if k > n:
-        raise ValueError(f"cannot subsample {k} from population of {n}")
-    if k == n:
-        return list(examples)
-    idx = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
-    return [examples[i] for i in idx]
-
-
 def label_histogram(examples) -> dict[int, int]:
     hist: dict[int, int] = {}
     for ex in examples:
@@ -348,14 +333,10 @@ class DatasetSpec:
     dev_fraction: float = 0.2
     test_fraction: float = 0.0
     split_seed: int = 13
-    subsample_count: int | None = None
-    subsample_fraction: float | None = None
 
     def __post_init__(self):
         # two classes at least: the noise path draws from the other classes - 1
         _check_ints(self, (("n", 1), ("classes", 2), ("split_seed", 0)))
-        if self.subsample_count is not None:
-            _check_ints(self, (("subsample_count", 0),))
         for name in ("dev_fraction", "test_fraction"):
             value = getattr(self, name)
             if not _is_real(value) or not 0.0 <= value <= 1.0:
@@ -391,8 +372,4 @@ def build_dataset(spec: DatasetSpec, seed: int):
     test = [examples[i] for i in order[:n_test]]
     dev = [examples[i] for i in order[n_test:n_test + n_dev]]
     train = [examples[i] for i in order[n_test + n_dev:]]
-
-    if spec.subsample_count is not None or spec.subsample_fraction is not None:
-        train = subsample(train, count=spec.subsample_count,
-                          fraction=spec.subsample_fraction, seed=spec.split_seed + 1)
     return tokenizer, train, dev, test

@@ -1,10 +1,10 @@
 """Small text classifier with a perturbation injection point.
 
 The encoder runs entirely on the autodiff tensors: an embedding lookup,
-one or more transformer blocks (or a per-position MLP), and either a
-pooled classification head or a per-token tagging head. Perturbations
-are added to the embedding output before the encoder, so
-``forward_from_embeddings`` is the seam the adversarial loop drives.
+zero or more transformer blocks, and either a pooled classification
+head or a per-token tagging head. Perturbations are added to the
+embedding output before the encoder, so ``forward_from_embeddings`` is
+the seam the adversarial loop drives.
 """
 from __future__ import annotations
 
@@ -48,26 +48,17 @@ class ModelConfig:
     ffn_dim: int | None = None
     max_len: int = 64
     classes: int = 2
-    encoder: str = "transformer"          # "transformer" | "mlp"
     head: str = "classification"          # "classification" | "tagging"
     use_positional: bool = False
-    dropout: float = 0.0                  # disabled by default; off keeps baselines clean
-    dropout_seed: int = 0
 
     def __post_init__(self):
         if self.ffn_dim is None and _is_int(self.dim):
             self.ffn_dim = 4 * self.dim
         _check_ints(self, (("vocab_size", 1), ("dim", 1), ("blocks", 0), ("heads", 1),
-                           ("ffn_dim", 1), ("max_len", 1), ("classes", 1), ("dropout_seed", 0)))
-        if not _is_real(self.dropout):
-            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.encoder not in ("transformer", "mlp"):
-            raise ValueError(f"unknown encoder kind {self.encoder!r}")
+                           ("ffn_dim", 1), ("max_len", 1), ("classes", 1)))
         if self.head not in ("classification", "tagging"):
             raise ValueError(f"unknown head kind {self.head!r}")
-        if self.encoder == "transformer" and self.dim % self.heads:
+        if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
 
 
@@ -87,17 +78,13 @@ def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     yield "embedding.weight", (cfg.vocab_size, cfg.dim)
     if cfg.use_positional:
         yield "positional.weight", (cfg.max_len, cfg.dim)
-    if cfg.encoder == "transformer":
-        for b in range(cfg.blocks):
-            for proj in ("wq", "wk", "wv", "wo"):
-                yield from linear(f"block{b}.attn.{proj}", cfg.dim, cfg.dim)
-            yield from norm(f"block{b}.ln1")
-            yield from linear(f"block{b}.ffn.w1", cfg.dim, cfg.ffn_dim)
-            yield from linear(f"block{b}.ffn.w2", cfg.ffn_dim, cfg.dim)
-            yield from norm(f"block{b}.ln2")
-    else:
-        yield from linear("mlp.w1", cfg.dim, cfg.ffn_dim)
-        yield from linear("mlp.w2", cfg.ffn_dim, cfg.dim)
+    for b in range(cfg.blocks):
+        for proj in ("wq", "wk", "wv", "wo"):
+            yield from linear(f"block{b}.attn.{proj}", cfg.dim, cfg.dim)
+        yield from norm(f"block{b}.ln1")
+        yield from linear(f"block{b}.ffn.w1", cfg.dim, cfg.ffn_dim)
+        yield from linear(f"block{b}.ffn.w2", cfg.ffn_dim, cfg.dim)
+        yield from norm(f"block{b}.ln2")
     yield from linear("head", cfg.dim, cfg.classes)
 
 
@@ -113,7 +100,6 @@ class TextModel:
             if rng is None:
                 raise ValueError("TextModel needs an rng or explicit params")
             self.params = self._init_params(rng)
-        self._dropout_rng = np.random.default_rng(config.dropout_seed)
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
         cfg = self.config
@@ -164,13 +150,6 @@ class TextModel:
             x = T.add(x, pos)
         return x
 
-    def _dropout(self, x: Tensor, train: bool) -> Tensor:
-        p = self.config.dropout
-        if not train or p <= 0.0:
-            return x
-        keep = (self._dropout_rng.random(x.shape) >= p) / (1.0 - p)
-        return T.scale(x, keep)
-
     def _linear(self, x: Tensor, name: str) -> Tensor:
         return T.matmul(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
 
@@ -179,7 +158,7 @@ class TextModel:
         ctx = T.attention(q, k, v, mask, self.config.heads, MASK_FILL_VALUE)
         return self._linear(ctx, f"block{b}.attn.wo")
 
-    def forward_from_embeddings(self, x: Tensor, mask: np.ndarray, train: bool = False) -> Tensor:
+    def forward_from_embeddings(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Logits from (possibly perturbed) embeddings; padded positions are inert."""
         cfg = self.config
         mask = np.asarray(mask, dtype=bool)
@@ -188,18 +167,11 @@ class TextModel:
                 f"forward_from_embeddings: embeddings {x.shape} vs mask {mask.shape}, dim {cfg.dim}")
         p = self.params
         h = x
-        if cfg.encoder == "transformer":
-            for b in range(cfg.blocks):
-                attn = self._dropout(self._attention(h, mask, b), train)
-                h = T.layer_norm(attn, p[f"block{b}.ln1.gain"], p[f"block{b}.ln1.bias"],
-                                 residual=h)
-                ff = self._linear(T.relu(self._linear(h, f"block{b}.ffn.w1")),
-                                  f"block{b}.ffn.w2")
-                ff = self._dropout(ff, train)
-                h = T.layer_norm(ff, p[f"block{b}.ln2.gain"], p[f"block{b}.ln2.bias"],
-                                 residual=h)
-        else:
-            h = self._linear(T.relu(self._linear(h, "mlp.w1")), "mlp.w2")
+        for b in range(cfg.blocks):
+            h = T.layer_norm(self._attention(h, mask, b), p[f"block{b}.ln1.gain"],
+                             p[f"block{b}.ln1.bias"], residual=h)
+            ff = self._linear(T.relu(self._linear(h, f"block{b}.ffn.w1")), f"block{b}.ffn.w2")
+            h = T.layer_norm(ff, p[f"block{b}.ln2.gain"], p[f"block{b}.ln2.bias"], residual=h)
 
         if cfg.head == "tagging":
             return self._linear(h, "head")
@@ -210,8 +182,8 @@ class TextModel:
         pooled = T.scale(pooled, inv_len)
         return self._linear(pooled, "head")
 
-    def forward(self, batch, train: bool = False) -> Tensor:
-        return self.forward_from_embeddings(self.embed(batch), batch.mask, train=train)
+    def forward(self, batch) -> Tensor:
+        return self.forward_from_embeddings(self.embed(batch), batch.mask)
 
     def loss(self, logits: Tensor, batch) -> Tensor:
         if self.config.head == "tagging":
@@ -248,6 +220,12 @@ def load_checkpoint(path) -> TextModel:
         name = reader.text()
         params[name] = Tensor(reader.f8(reader.u32s(reader.u32())), requires_grad=True)
     reader.end()
+    # older files also name the encoder and a dropout rate and seed, which
+    # touch neither the saved parameters nor predictions
+    if hyper.pop("encoder", "transformer") != "transformer":
+        raise CheckpointFormatError(f"{path}: only the transformer encoder is supported")
+    hyper.pop("dropout", None)
+    hyper.pop("dropout_seed", None)
     try:
         config = ModelConfig(**hyper)
         # no more names than the table holds, so a crafted block count stays cheap

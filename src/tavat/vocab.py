@@ -68,21 +68,19 @@ def gather(vocab: PerturbationVocabulary, token_ids: np.ndarray,
 
 
 def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarray,
-            eta_final: np.ndarray, special_token_policy=None,
-            epsilon: float | None = None) -> PerturbationVocabulary:
+            eta_final: np.ndarray, *, special_token_policy,
+            epsilon: float) -> PerturbationVocabulary:
     """Write final perturbation slices back by token id.
 
     Repeated ids within the batch are averaged; the padding row and any
-    policy-excluded ids are never touched. Row norms are clamped to the
-    perturbation bound when one is known.
+    policy-excluded ids are never touched. Row norms are clamped to
+    ``epsilon``.
     """
     ids = np.asarray(token_ids).reshape(-1)
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     slices = np.asarray(eta_final).reshape(-1, vocab.dim)
 
-    keep = mask & (ids != PAD)
-    if special_token_policy is not None:
-        keep &= special_token_policy.permits(ids)
+    keep = mask & (ids != PAD) & special_token_policy.permits(ids)
     if not keep.any():
         return vocab
 
@@ -91,11 +89,9 @@ def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarr
     np.add.at(sums, slot, slices[keep])
     means = sums / np.bincount(slot)[:, None]
 
-    bound = epsilon if epsilon is not None else vocab.meta.get("epsilon")
-    if bound is not None:
-        norms = np.sqrt((means ** 2).sum(axis=1, keepdims=True))
-        over = norms > bound * (1.0 + 1e-12)
-        means = np.where(over, means * (bound / np.maximum(norms, 1e-300)), means)
+    norms = np.sqrt((means ** 2).sum(axis=1, keepdims=True))
+    over = norms > epsilon * (1.0 + 1e-12)
+    means = np.where(over, means * (epsilon / np.maximum(norms, 1e-300)), means)
     vocab.table[rows] = means
     vocab.meta["steps_seen"] = vocab.meta.get("steps_seen", 0) + 1
     return vocab

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from tavat import tensor as T
-from tavat.adv import (AdvConfig, init_delta, instance_step, project_frobenius,
-                       scaling_index, tavat_batch_step)
+from tavat.adv import (AdvConfig, SpecialTokenPolicy, init_delta, instance_step,
+                       project_frobenius, scaling_index, tavat_batch_step)
 from tavat.data import (DatasetSpec, build_dataset, build_tokenizer,
                         encode_examples, make_batches)
 from tavat.model import ModelConfig, TextModel
@@ -268,12 +268,13 @@ class TestAcceptance:
         ids = np.array([[4, 9, 17]])
         mask = np.ones((1, 3), dtype=bool)
         eta = rng.normal(size=(1, 3, 6)) * 0.2
-        scatter(vocab, ids, mask, eta)
+        scatter(vocab, ids, mask, eta, special_token_policy=SpecialTokenPolicy(), epsilon=1.0)
         ok &= np.array_equal(gather(vocab, ids, mask), eta)
         # collision averaging against hand computation
         ids2 = np.array([[7, 7]])
         u, v = rng.normal(size=6) * 0.1, rng.normal(size=6) * 0.1
-        scatter(vocab, ids2, np.ones((1, 2), dtype=bool), np.stack([u, v])[None])
+        scatter(vocab, ids2, np.ones((1, 2), dtype=bool), np.stack([u, v])[None],
+                special_token_policy=SpecialTokenPolicy(), epsilon=1.0)
         ok &= np.array_equal(vocab.table[7], (u + v) / 2.0)
         # save/load bitwise
         path = tmp_path / "vocab.bin"

@@ -131,8 +131,8 @@ def _flipped_files(raw, float_spans, path):
 
 
 def test_every_checkpoint_bit_flip_is_rejected_or_consistent(tmp_path):
-    """Outside the tensor data, a flip raises the typed error or loads a model whose
-    names and shapes are the ones its hyperparameters give, and which runs."""
+    """Outside the tensor data, every flip raises the typed error: each hyperparameter
+    either sizes a tensor or is checked, so no flipped header names a valid model."""
     model = tiny_model(3)
     good = tmp_path / "good.bin"
     save_checkpoint(model, good)
@@ -146,22 +146,13 @@ def test_every_checkpoint_bit_flip_is_rejected_or_consistent(tmp_path):
         offset += 8 * p.size
     assert offset == len(raw)
 
-    ids = np.array([[1, 2, 3, 0], [4, 5, 0, 0]])
-    batch = type("Batch", (), {"token_ids": ids, "mask": ids != 0,
-                               "labels": np.array([0, 1])})
     path = tmp_path / "flipped.bin"
-    loaded_count = 0
     for pos, bit in _flipped_files(raw, spans, path):
         try:
-            loaded = load_checkpoint(path)
+            load_checkpoint(path)
         except CheckpointFormatError:
             continue
-        loaded_count += 1
-        fresh = TextModel(loaded.config, rng=np.random.default_rng(0))
-        shapes = {name: p.shape for name, p in loaded.params.items()}
-        assert shapes == {name: p.shape for name, p in fresh.params.items()}, (pos, bit)
-        assert loaded.forward(batch).shape == (2, loaded.config.classes), (pos, bit)
-    assert loaded_count > 0       # some flips (a digit of dropout_seed, say) stay valid
+        pytest.fail(f"flip of bit {bit} at byte {pos} loaded")
 
 
 def test_every_vocabulary_bit_flip_is_rejected_or_loads(tmp_path):

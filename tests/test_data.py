@@ -6,7 +6,7 @@ from tavat.data import (CLS, PAD, SEP, UNK, Batch, DatasetSpec, build_dataset,
                         build_tokenizer, encode_examples,
                         generate_synthetic_classification, generate_synthetic_tagging,
                         label_histogram, load_delimited, make_batches, span_f1,
-                        spans_from_tags, subsample, tagging_tag_names)
+                        spans_from_tags, tagging_tag_names)
 from oracles import cue_majority_oracle
 
 
@@ -188,37 +188,6 @@ class TestBatching:
                   labels=np.array([0]))
 
 
-class TestSubsample:
-    def test_fraction_one_is_order_preserving_identity(self):
-        examples = list(range(50))
-        assert subsample(examples, fraction=1.0, seed=9) == examples
-
-    def test_exact_count_unique(self):
-        population = list(range(10_000))
-        out = subsample(population, count=2000, seed=10)
-        assert len(out) == 2000
-        assert len(set(out)) == 2000
-
-    def test_count_exceeding_population_rejected(self):
-        with pytest.raises(ValueError, match="cannot subsample"):
-            subsample([1, 2, 3], count=4)
-
-    def test_overlap_matches_hypergeometric_expectation(self):
-        """Two independent draws of k from n overlap about k^2/n items."""
-        population = list(range(10_000))
-        k = 2000
-        a = set(subsample(population, count=k, seed=11))
-        b = set(subsample(population, count=k, seed=12))
-        expected = k * k / len(population)
-        std = np.sqrt(k * (k / len(population)) * (1 - k / len(population)))
-        assert abs(len(a & b) - expected) <= 4 * std
-
-    def test_seed_deterministic(self):
-        population = list(range(100))
-        assert subsample(population, count=30, seed=13) == \
-            subsample(population, count=30, seed=13)
-
-
 class TestDatasetAssembly:
     def test_splits_disjoint_and_deterministic(self):
         spec = DatasetSpec(n=200, noise=0.1, dev_fraction=0.2, test_fraction=0.1)
@@ -229,13 +198,6 @@ class TestDatasetAssembly:
         assert key(train1) == key(train2)
         assert not (set(key(train1)) & set(key(dev1)) & set(key(test1)))
         assert tok1.fingerprint() == tok2.fingerprint()
-
-    def test_subsample_applies_to_train_only(self):
-        spec = DatasetSpec(n=200, noise=0.1, dev_fraction=0.2,
-                           subsample_count=50)
-        _, train, dev, _ = build_dataset(spec, seed=22)
-        assert len(train) == 50
-        assert len(dev) == 40
 
     def test_label_histogram(self):
         examples = generate_synthetic_classification(100, seed=23, noise=0.0)

@@ -1,11 +1,12 @@
-"""One epoch of three benchmark workloads reproduces the committed bytes.
+"""One epoch of four benchmark workloads reproduces the committed bytes.
 
-``tests/golden.json`` holds, for ``small-tavat``, ``tagging-clean`` and
-``bigvocab-tavat`` at seed 1 trained for one epoch from
-``bench/workloads.make_config``, the checkpoint sha256, the vocabulary
-sha256, ``repr`` of the dev metric and a sha256 of the step, eval and
-summary records without ``wall_time``. ``bigvocab-tavat`` is the one run
-whose embedding table is large next to the rows a batch looks up. A
+``tests/golden.json`` holds, for ``small-tavat``, ``tagging-clean``,
+``bigvocab-tavat`` and ``wide-tavat`` at seed 1 trained for one epoch
+from ``bench/workloads.make_config``, the checkpoint sha256, the
+vocabulary sha256, ``repr`` of the dev metric and a sha256 of the step,
+eval and summary records without ``wall_time``. ``bigvocab-tavat`` is
+the one run whose embedding table is large next to the rows a batch
+looks up; ``wide-tavat`` the one TA-VAT run at K=3 and dim 64. A
 change that moves any of them is a behaviour change: it rewrites the file
 in the same commit, so the diff shows it
 (``PYTHONPATH=src python tests/test_golden.py --write``). The bytes depend
@@ -26,7 +27,7 @@ from tavat.train import train
 
 GOLDEN = Path(__file__).with_name("golden.json")
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-RUNS = ("small-tavat", "tagging-clean", "bigvocab-tavat")
+RUNS = ("small-tavat", "tagging-clean", "bigvocab-tavat", "wide-tavat")
 SEED = 1
 EPOCHS = 1
 

@@ -366,7 +366,10 @@ class TestConfigSerialization:
                                      {"adv": {"scale_from_ascended": True}},
                                      {"weight_decay": 0.0},
                                      {"adv": {"eta_epsilon": 0.1}},
-                                     {"adv": {"use_instance_delta": False}}])
+                                     {"adv": {"use_instance_delta": False}},
+                                     {"model": {"vocab_size": 20, "encoder": "mlp"}},
+                                     {"model": {"vocab_size": 20, "dropout": 0.0}},
+                                     {"dataset": {"subsample_count": 10}}])
     def test_removed_fields_rejected(self, raw):
         with pytest.raises(TypeError, match="unexpected keyword"):
             config_from_dict(raw)
@@ -393,8 +396,8 @@ class TestConfigSerialization:
         ({"dataset": {"classes": 1}}, "classes must be at least 2, got 1"),
         ({"dataset": {"split_seed": 1.5}}, "split_seed must be an integer, got 1.5"),
         ({"dataset": {"split_seed": -1}}, "split_seed must be at least 0, got -1"),
-        ({"dataset": {"subsample_count": 10.0}}, "subsample_count must be an integer, got 10.0"),
-        ({"dataset": {"subsample_count": -1}}, "subsample_count must be at least 0, got -1"),
+        ({"model": {"vocab_size": 20, "blocks": -1}}, "blocks must be at least 0, got -1"),
+        ({"model": {"vocab_size": 20, "dim": 8, "heads": 3}}, "dim 8 not divisible by heads 3"),
         ({"seeds": {"init": "1"}}, "init must be an integer, got '1'"),
         ({"seeds": {"data": 1.5}}, "data must be an integer, got 1.5"),
         ({"seeds": {"adversarial": True}}, "adversarial must be an integer, got True"),

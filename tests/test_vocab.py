@@ -69,23 +69,26 @@ class TestGather:
             gather(v, np.array([[9]]), np.ones((1, 1), dtype=bool))
 
 
+EVERYONE = SpecialTokenPolicy()
+
+
 class TestScatter:
     def setup_method(self):
-        self.vocab = init_vocabulary(10, 2, 0.0, np.random.default_rng(0),
-                                     meta={"epsilon": 10.0})
+        self.vocab = init_vocabulary(10, 2, 0.0, np.random.default_rng(0))
 
     def test_roundtrip_unique_tokens(self):
         ids = np.array([[3, 4, 5]])
         mask = np.ones((1, 3), dtype=bool)
         eta = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
-        scatter(self.vocab, ids, mask, eta)
+        scatter(self.vocab, ids, mask, eta, special_token_policy=EVERYONE, epsilon=10.0)
         np.testing.assert_array_equal(gather(self.vocab, ids, mask), eta)
 
     def test_collision_averaging(self):
         ids = np.array([[5, 5]])
         mask = np.ones((1, 2), dtype=bool)
         u, v = np.array([1.0, 3.0]), np.array([2.0, 5.0])
-        scatter(self.vocab, ids, mask, np.stack([u, v])[None])
+        scatter(self.vocab, ids, mask, np.stack([u, v])[None], special_token_policy=EVERYONE,
+                epsilon=10.0)
         np.testing.assert_array_equal(self.vocab.table[5], (u + v) / 2.0)
 
     def test_policy_excluded_id_untouched(self):
@@ -94,38 +97,39 @@ class TestScatter:
         mask = np.ones((1, 2), dtype=bool)
         eta = np.ones((1, 2, 2))
         scatter(self.vocab, ids, mask, eta,
-                special_token_policy=SpecialTokenPolicy("exclude", frozenset({2})))
+                special_token_policy=SpecialTokenPolicy("exclude", frozenset({2})), epsilon=10.0)
         np.testing.assert_array_equal(self.vocab.table[2], before)
         np.testing.assert_array_equal(self.vocab.table[4], [1.0, 1.0])
 
     def test_fully_padded_batch_is_noop(self):
         before = self.vocab.table.copy()
         ids = np.array([[3, 4]])
-        scatter(self.vocab, ids, np.zeros((1, 2), dtype=bool), np.ones((1, 2, 2)))
+        scatter(self.vocab, ids, np.zeros((1, 2), dtype=bool), np.ones((1, 2, 2)),
+                special_token_policy=EVERYONE, epsilon=10.0)
         np.testing.assert_array_equal(self.vocab.table, before)
 
     def test_padding_row_never_written(self):
         ids = np.array([[0, 4]])
         mask = np.array([[True, True]])  # pad id unpadded only in this stress case
-        scatter(self.vocab, ids, mask, np.ones((1, 2, 2)))
+        scatter(self.vocab, ids, mask, np.ones((1, 2, 2)), special_token_policy=EVERYONE,
+                epsilon=10.0)
         assert (self.vocab.table[0] == 0.0).all()
 
     def test_row_norm_clamped_to_bound(self):
-        vocab = init_vocabulary(10, 2, 0.0, np.random.default_rng(0),
-                                meta={"epsilon": 1.0})
+        vocab = init_vocabulary(10, 2, 0.0, np.random.default_rng(0))
         ids = np.array([[4]])
-        scatter(vocab, ids, np.ones((1, 1), dtype=bool),
-                np.array([[[30.0, 40.0]]]))
+        scatter(vocab, ids, np.ones((1, 1), dtype=bool), np.array([[[30.0, 40.0]]]),
+                special_token_policy=EVERYONE, epsilon=1.0)
         assert np.linalg.norm(vocab.table[4]) <= 1.0 + 1e-9
 
     def test_isolation(self):
         """Only rows named by unpadded, permitted ids change."""
-        vocab = init_vocabulary(10, 2, 0.5, np.random.default_rng(7),
-                                meta={"epsilon": 10.0})
+        vocab = init_vocabulary(10, 2, 0.5, np.random.default_rng(7))
         before = vocab.table.copy()
         ids = np.array([[3, 6, 0]])
         mask = np.array([[True, True, False]])
-        scatter(vocab, ids, mask, np.ones((1, 3, 2)))
+        scatter(vocab, ids, mask, np.ones((1, 3, 2)), special_token_policy=EVERYONE,
+                epsilon=10.0)
         changed = np.where(np.any(vocab.table != before, axis=1))[0]
         assert set(changed) <= {3, 6}
 
@@ -137,7 +141,7 @@ class TestScatter:
         policy = SpecialTokenPolicy("exclude", frozenset(excluded))
         clamped = set()
         for _ in range(20):
-            vocab = init_vocabulary(n, d, 0.3, rng, meta={"epsilon": bound})
+            vocab = init_vocabulary(n, d, 0.3, rng)
             ids = rng.integers(1, 12, size=(4, 9))
             mask = np.arange(9)[None, :] < rng.integers(1, 10, size=(4, 1))
             ids[~mask] = 0
@@ -157,7 +161,7 @@ class TestScatter:
             expected[written] = np.where(over, rows * (bound / norms), rows)
             clamped.update(over.reshape(-1).tolist())
 
-            scatter(vocab, ids, mask, eta, special_token_policy=policy)
+            scatter(vocab, ids, mask, eta, special_token_policy=policy, epsilon=bound)
             np.testing.assert_array_equal(vocab.table, expected)
         assert clamped == {True, False}
 
