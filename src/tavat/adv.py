@@ -114,8 +114,7 @@ class AdvConfig:
 class AccumulatedGradient:
     """Running parameter-gradient sum over the inner steps.
 
-    A table's entry stays a ``RowGradient`` until ``tavat_batch_step``
-    densifies the sums for the optimizer.
+    A table's entry stays a ``RowGradient``; the optimizer takes it as it is.
     """
 
     sums: dict = field(default_factory=dict)
@@ -313,7 +312,6 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     for name, g in accum.sums.items():
         _check_finite(f"accumulated gradient of {name}",
                       g.values if isinstance(g, T.RowGradient) else g)
-    accum.sums = {name: np.asarray(g) for name, g in accum.sums.items()}
     if cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
                 epsilon=cfg.epsilon)

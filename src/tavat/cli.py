@@ -81,9 +81,15 @@ def main(argv=None) -> int:
     p_export.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    if args.command in ("train", "evaluate", "ablate"):
+        try:
+            config = _load_config(args)
+        except TypeError as exc:
+            # a field no config has, such as one a removed option left in an old file
+            command = sub.choices[args.command]
+            command.exit(2, f"{command.prog}: error: {args.config}: {exc}\n")
 
     if args.command == "train":
-        config = _load_config(args)
         result = train(config)
         print(f"run {config.run_name}: dev metric {result.dev_metric}")
         if result.checkpoint_path:
@@ -95,7 +101,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "evaluate":
-        config = _load_config(args)
         model = load_checkpoint(args.checkpoint)
         tokenizer, train_ex, dev_ex, test_ex = build_dataset(
             config.dataset, seed=config.seeds.data)
@@ -111,7 +116,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "ablate":
-        config = _load_config(args)
         rows = run_ablation(config, grid=args.grid, seeds=args.seeds)
         print(format_ablation_table(rows))
         out_dir = config.resolved_out_dir()

@@ -92,12 +92,15 @@ class Batch:
 CUES_PER_CLASS = 6
 FILLER_COUNT = 40
 MIN_WORDS, MAX_WORDS = 6, 12     # per classification example, unless its cues need more
+FILLERS = tuple(f"filler{i}" for i in range(FILLER_COUNT))
+
+
+def _cue_words(classes: int) -> list[tuple[str, ...]]:
+    return [tuple(f"cue{c}_{i}" for i in range(CUES_PER_CLASS)) for c in range(classes)]
 
 
 def synthetic_vocabulary(classes: int = 2) -> list[str]:
-    cues = [f"cue{c}_{i}" for c in range(classes) for i in range(CUES_PER_CLASS)]
-    fillers = [f"filler{i}" for i in range(FILLER_COUNT)]
-    return cues + fillers
+    return [w for cues in _cue_words(classes) for w in cues] + list(FILLERS)
 
 
 def generate_synthetic_classification(n: int, seed: int, noise: float,
@@ -113,16 +116,17 @@ def generate_synthetic_classification(n: int, seed: int, noise: float,
     if not 0.0 <= noise < 0.5:
         raise ValueError("noise must lie in [0, 0.5)")
     rng = np.random.default_rng(seed)
+    cue_words = _cue_words(classes)
     examples = []
     for _ in range(n):
         true_class = int(rng.integers(classes))
         majority = int(rng.integers(2, 5))
         counts = [int(rng.integers(0, majority)) for _ in range(classes)]
         counts[true_class] = majority
-        cues = [f"cue{c}_{int(rng.integers(CUES_PER_CLASS))}"
+        cues = [cue_words[c][int(rng.integers(CUES_PER_CLASS))]
                 for c in range(classes) for _ in range(counts[c])]
         length = max(int(rng.integers(MIN_WORDS, MAX_WORDS + 1)), len(cues))
-        fillers = [f"filler{int(rng.integers(FILLER_COUNT))}" for _ in range(length - len(cues))]
+        fillers = [FILLERS[int(rng.integers(FILLER_COUNT))] for _ in range(length - len(cues))]
         tokens = cues + fillers
         rng.shuffle(tokens)
         label = true_class
@@ -135,6 +139,8 @@ def generate_synthetic_classification(n: int, seed: int, noise: float,
 TAG_TYPES = ("T0", "T1")
 ENTITY_WORDS_PER_TYPE = 5
 TAG_MIN_WORDS, TAG_MAX_WORDS = 8, 14
+ENTITY_WORDS = {t: tuple(f"ent{t}_{i}" for i in range(ENTITY_WORDS_PER_TYPE))
+                for t in TAG_TYPES}
 
 
 def tagging_tag_names() -> list[str]:
@@ -145,8 +151,7 @@ def tagging_tag_names() -> list[str]:
 
 
 def tagging_vocabulary() -> list[str]:
-    ents = [f"ent{t}_{i}" for t in TAG_TYPES for i in range(ENTITY_WORDS_PER_TYPE)]
-    return ents + [f"filler{i}" for i in range(FILLER_COUNT)]
+    return [w for t in TAG_TYPES for w in ENTITY_WORDS[t]] + list(FILLERS)
 
 
 def generate_synthetic_tagging(n: int, seed: int) -> list[Example]:
@@ -163,7 +168,7 @@ def generate_synthetic_tagging(n: int, seed: int) -> list[Example]:
     examples = []
     for _ in range(n):
         length = int(rng.integers(TAG_MIN_WORDS, TAG_MAX_WORDS + 1))
-        tokens = [f"filler{int(rng.integers(FILLER_COUNT))}" for _ in range(length)]
+        tokens = [FILLERS[int(rng.integers(FILLER_COUNT))] for _ in range(length)]
         tags = [tag_id["O"]] * length
         spans = int(rng.integers(0, 3))
         cursor = 0
@@ -178,9 +183,8 @@ def generate_synthetic_tagging(n: int, seed: int) -> list[Example]:
                 break
             t = TAG_TYPES[int(rng.integers(len(TAG_TYPES)))]
             for j in range(span_len):
-                word = f"ent{t}_{int(rng.integers(ENTITY_WORDS_PER_TYPE))}"
-                tokens[start + j] = word
-                tags[start + j] = tag_id[f"B-{t}"] if j == 0 else tag_id[f"I-{t}"]
+                tokens[start + j] = ENTITY_WORDS[t][int(rng.integers(ENTITY_WORDS_PER_TYPE))]
+                tags[start + j] = tag_id[("I-" if j else "B-") + t]
             cursor = start + span_len + 1
         examples.append(Example(tokens=tokens, tags=tags))
     return examples

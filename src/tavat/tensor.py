@@ -1,10 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The tape is dynamic: every op that sees a tracked input links its output
-back to the inputs through a vjp closure, and ``backward`` replays the
-graph once in reverse topological order. Graphs are rebuilt on every
-forward pass, which is what the adversarial inner loop needs (the same
-parameters are re-evaluated K times per batch with mutated inputs).
+The tape is dynamic: every op that sees a tracked input records a
+``Node`` that links back to its inputs through a vjp closure, and
+``backward`` replays the graph once in reverse topological order. The
+graph holds no values: each vjp keeps only the arrays it reads, so an op
+output that no vjp reads is freed as soon as no name holds it. Graphs
+are rebuilt on every forward pass, which is what the adversarial inner
+loop needs (the same parameters are re-evaluated K times per batch with
+mutated inputs).
 
 Three ops fuse what the transformer would otherwise record as chains,
 so each inner step replays fewer, fatter nodes. Each evaluates the same
@@ -37,27 +40,52 @@ class GraphError(RuntimeError):
     """Backward called on something that is not a differentiable scalar."""
 
 
-class Tensor:
-    """A dense float64 array plus its links into the tape.
-
-    Intermediate results produced from tracked inputs are themselves
-    tracked so gradients can flow through them. A tensor holds no
-    gradient: ``backward`` returns them all in one map.
+class Node:
+    """One recorded op: its parents' vertices (``None`` for an untracked
+    input), its vjp and its name. It holds no data; the vjp closes over the
+    arrays and shapes it reads, never over a ``Tensor``.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_op")
+    __slots__ = ("_parents", "_vjp", "_op")
 
-    # Read-only: no slot backs it, so assigning ``.grad`` raises
-    # AttributeError. bench/tracing.py sums it as
-    # ``tensor.backward.grad_bytes`` until that metric leaves the benchmark.
+    # bench/tracing.py sums ``.grad`` over ``topo_order`` as
+    # ``tensor.backward.grad_bytes`` until that metric leaves the benchmark
+    grad = None
+
+    def __init__(self, parents, vjp, op):
+        self._parents, self._vjp, self._op = parents, vjp, op
+
+
+class Tensor:
+    """A dense float64 array plus its place in the tape.
+
+    Intermediate results produced from tracked inputs are themselves
+    tracked, through the ``Node`` that recorded them; a tracked leaf
+    (parameter, perturbation, input) is its own vertex. A tensor holds
+    no gradient: ``backward`` returns them all in one map.
+    """
+
+    __slots__ = ("data", "requires_grad", "_node")
+
+    # Read-only: no slot backs it, so assigning ``.grad`` raises AttributeError.
     grad = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
-        self._op: str | None = None
+        self._node: Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @property
+    def _op(self) -> str | None:
+        return None if self._node is None else self._node._op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -80,21 +108,23 @@ class Tensor:
 
 
 def _track(out_data, parents, vjp, op) -> Tensor:
-    """Wrap an op result, recording the graph node if any input is tracked."""
+    """Wrap an op result, recording its node if any input is tracked."""
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
+    vertices = tuple([(p._node or p) if p.requires_grad else None for p in parents])
+    if any(vertices):       # a vertex, Node or Tensor, is never falsy
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._op = op
+        out._node = Node(vertices, vjp, op)
     return out
 
 
-def topo_order(root: Tensor) -> list[Tensor]:
-    """Nodes reachable from ``root``, every tensor after all of its parents."""
-    order: list[Tensor] = []
+def topo_order(root: Tensor) -> list[Node | Tensor]:
+    """Vertices reachable from ``root``, each after all of its parents.
+
+    A vertex is a ``Node`` or a tracked leaf ``Tensor``.
+    """
+    order: list[Node | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node | Tensor, bool]] = [(root._node or root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -105,7 +135,7 @@ def topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -122,11 +152,11 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss._parents:
+    if loss._node is None:
         raise GraphError("backward on a tensor with no recorded operations")
 
     order = topo_order(loss)
-    adjoint: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    adjoint: dict[Node | Tensor, np.ndarray] = {loss._node: np.ones_like(loss.data)}
     for node in reversed(order):
         if node._vjp is None:
             continue
@@ -134,7 +164,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         if out_adj is None:
             continue
         for parent, contrib in zip(node._parents, node._vjp(out_adj)):
-            if contrib is None or not parent.requires_grad:
+            if parent is None or contrib is None:
                 continue
             prev = adjoint.get(parent)
             adjoint[parent] = contrib if prev is None else prev + contrib
@@ -156,9 +186,10 @@ def _sum_to_suffix(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _suffix_check("add", a, b)
     out = a.data + b.data
+    b_shape = b.shape
 
     def vjp(g):
-        return g, _sum_to_suffix(g, b.shape)
+        return g, _sum_to_suffix(g, b_shape)
 
     return _track(out, (a, b), vjp, "add")
 
@@ -180,7 +211,8 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def vjp(g):
-        return (g * (a.data > 0.0),)
+        # out > 0 exactly where a > 0, NaN and -0.0 included
+        return (g * (out > 0.0),)
 
     return _track(out, (a,), vjp, "relu")
 
@@ -198,33 +230,37 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     if b.ndim != 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: leading dims differ, {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+    a_data, b_data = a.data, b.data
+    out = np.matmul(a_data, b_data)
     parents = (a, b)
+    bias_shape = None
     if bias is not None:
         _suffix_check("matmul", out, bias)
         out += bias.data
         parents = (a, b, bias)
+        bias_shape = bias.shape
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.ndim == 2:
-            k = a.shape[-1]
-            n = b.shape[-1]
-            gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n))
+        ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+        if b_data.ndim == 2:
+            k = a_data.shape[-1]
+            n = b_data.shape[-1]
+            gb = np.matmul(a_data.reshape(-1, k).T, g.reshape(-1, n))
         else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if bias is None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+        if bias_shape is None:
             return ga, gb
-        return ga, gb, _sum_to_suffix(g, bias.shape)
+        return ga, gb, _sum_to_suffix(g, bias_shape)
 
     return _track(out, parents, vjp, "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
+    a_shape = a.shape
 
     def vjp(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _track(out, (a,), vjp, "reshape")
 
@@ -242,12 +278,13 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     out = a.data.sum(axis=axis)
+    a_shape = a.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, a_shape).copy(),)
         expanded = np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, a.shape).copy(),)
+        return (np.broadcast_to(expanded, a_shape).copy(),)
 
     return _track(out, (a,), vjp, "sum")
 
@@ -279,16 +316,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
     active = var > LAYER_NORM_VAR_FLOOR
     std = np.sqrt(np.maximum(var, LAYER_NORM_VAR_FLOOR))
     y = centered / std
-    out = y * gain.data + bias.data
+    gain_data = gain.data
+    out = y * gain_data + bias.data
+    arity = len(parents)
 
     def vjp(g):
         dgain = (g * y).reshape(-1, dim).sum(axis=0)
         dbias = g.reshape(-1, dim).sum(axis=0)
-        dy = g * gain.data
+        dy = g * gain_data
         mean_dy = dy.mean(axis=-1, keepdims=True)
         mean_dyy = (dy * y).mean(axis=-1, keepdims=True)
         da = (dy - mean_dy - np.where(active, y * mean_dyy, 0.0)) / std
-        return (da, dgain, dbias) if residual is None else (da, dgain, dbias, da)
+        return (da, dgain, dbias, da)[:arity]
 
     return _track(out, parents, vjp, "layer_norm")
 
@@ -368,7 +407,8 @@ class RowGradient:
 
     ``rows`` is sorted and unique, and ``values[i]`` is the gradient of
     row ``rows[i]``. ``np.asarray`` gives the dense table, ``+0.0`` off
-    ``rows``. Besides ``copy()`` it has only the arithmetic that
+    ``rows``, and ``g[start:stop]`` that table's rows ``start:stop``
+    without the rest. Besides ``copy()`` it has only the arithmetic that
     ``backward`` and a K-step sum do with a gradient: ``w * g`` for a
     finite ``w >= 0``, ``0.0 + g``, and ``g + g`` over the union of rows.
     Each evaluates the dense expression's arithmetic on the rows it keeps,
@@ -386,9 +426,18 @@ class RowGradient:
         out[np.searchsorted(rows, self.rows)] = self.values
         return out
 
+    def __getitem__(self, block: slice) -> np.ndarray:
+        if not isinstance(block, slice) or block.step not in (None, 1):
+            raise TypeError(f"a RowGradient takes a contiguous row slice, not {block!r}")
+        start, stop, _ = block.indices(self.shape[0])
+        stop = max(start, stop)
+        lo, hi = np.searchsorted(self.rows, (start, stop))
+        out = np.zeros((stop - start,) + self.shape[1:])
+        out[self.rows[lo:hi] - start] = self.values[lo:hi]
+        return out
+
     def __array__(self, dtype=None, copy=None):
-        out = np.zeros(self.shape)
-        out[self.rows] = self.values
+        out = self[:]
         return out if dtype is None else out.astype(dtype, copy=False)
 
     def copy(self) -> RowGradient:
@@ -424,13 +473,20 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
             f"min={ids.min()}, max={ids.max()}"
         )
     out = table.data[ids]
-    rows, slot = np.unique(ids, return_inverse=True)
+    shape = table.shape
+    rows = slot = None
 
     def vjp(g):
+        nonlocal rows, slot
+        if rows is None:
+            # found by the first backward and kept for the later replays;
+            # a forward that nothing differentiates never sorts the ids
+            rows, slot = np.unique(ids, return_inverse=True)
+            slot = slot.reshape(ids.shape)
         # np.add.at sums each row's occurrences in order, as a dense scatter would
-        values = np.zeros((rows.size,) + table.shape[1:])
-        np.add.at(values, slot.reshape(ids.shape), g)
-        return (RowGradient(rows, values, table.shape),)
+        values = np.zeros((rows.size,) + shape[1:])
+        np.add.at(values, slot, g)
+        return (RowGradient(rows, values, shape),)
 
     return _track(out, (table,), vjp, "embedding_lookup")
 
@@ -491,12 +547,13 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray | No
     nll = -logp[rows, safe_labels]
     count = float(keep.sum())
     out = np.asarray((nll * keep).sum() / count)
+    shape = logits.shape
 
     def vjp(g):
         probs = np.exp(logp)
         probs[rows, safe_labels] -= 1.0
         probs *= (keep / count)[:, None]
-        return (probs.reshape(logits.shape) * g,)
+        return (probs.reshape(shape) * g,)
 
     return _track(out, (logits,), vjp, "cross_entropy_loss")
 

@@ -23,7 +23,7 @@ from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1)
 from .model import ModelConfig, TextModel, _check_ints, _is_real, save_checkpoint
-from .tensor import Tensor
+from .tensor import RowGradient, Tensor
 from .vocab import (apply_to_embedding, init_vocabulary, load_vocabulary,
                     save_vocabulary)
 
@@ -36,21 +36,27 @@ class SGD:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, Tensor],
+             grads: dict[str, np.ndarray | RowGradient]) -> None:
         for name, p in params.items():
-            p.data = p.data - self.lr * grads[name]
+            p.data = p.data - self.lr * np.asarray(grads[name])
 
 
 class Adam:
     """Adam with bias correction; state keyed by parameter name.
 
-    The moments and the parameters are updated in place, through two
-    temporaries per parameter, in the operation order of
-    ``m = B1*m + (1-B1)*g``, ``v = B2*v + (1-B2)*g*g`` and
-    ``p - lr*(m/c1) / (sqrt(v/c2) + EPS)``.
+    Each parameter is walked in blocks of ``_BLOCK_ROWS`` rows. A
+    gradient is an ndarray or a table's ``RowGradient``, whose block is
+    dense: zeros with the touched rows written in. Per block, the moments
+    and the parameter are updated in place, through block-sized
+    temporaries, in the operation order of ``m = B1*m + (1-B1)*g``,
+    ``v = B2*v + (1-B2)*g*g`` and ``p - lr*(m/c1) / (sqrt(v/c2) + EPS)``.
+    Every operation is elementwise, so the result does not depend on the
+    block size.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    _BLOCK_ROWS = 256
 
     def __init__(self, lr: float):
         self.lr = lr
@@ -58,30 +64,34 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, Tensor],
+             grads: dict[str, np.ndarray | RowGradient]) -> None:
         self.t += 1
         c1 = 1 - self.BETA1 ** self.t
         c2 = 1 - self.BETA2 ** self.t
         for name, p in params.items():
-            g = grads[name]
+            grad = grads[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            scratch = np.multiply(1 - self.BETA1, g)
-            m *= self.BETA1
-            m += scratch
-            np.multiply(1 - self.BETA2, g, out=scratch)
-            scratch *= g
-            v *= self.BETA2
-            v += scratch
-            np.divide(v, c2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += self.EPS
-            update = np.divide(m, c1)
-            update *= self.lr
-            update /= scratch
-            p.data -= update
+            for start in range(0, len(p.data), self._BLOCK_ROWS):
+                rows = slice(start, start + self._BLOCK_ROWS)
+                g, param = grad[rows], p.data[rows]
+                m, v = self.m[name][rows], self.v[name][rows]
+                temp = np.multiply(1 - self.BETA1, g)
+                m *= self.BETA1
+                m += temp
+                np.multiply(1 - self.BETA2, g, out=temp)
+                temp *= g
+                v *= self.BETA2
+                v += temp
+                np.divide(v, c2, out=temp)
+                np.sqrt(temp, out=temp)
+                temp += self.EPS
+                update = np.divide(m, c1)
+                update *= self.lr
+                update /= temp
+                param -= update
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}

@@ -11,7 +11,8 @@ from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPo
                        scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
-from tavat.tensor import RowGradient, backward, topo_order
+from tavat import tensor as T
+from tavat.tensor import RowGradient, backward
 from tavat.train import SGD, Adam, _step_record
 from tavat.vocab import init_vocabulary
 from oracles import reference_freelb_step, token_step_reference
@@ -472,8 +473,9 @@ class TestBatchStep:
                                 np.random.default_rng(14), meta={"epsilon": 1.0})
         optimizer = Adam(0.01)
         first = tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(15))
-        # the optimizer and the report see dense sums
-        assert all(type(g) is np.ndarray for g in first.grad.sums.values())
+        # the optimizer and the report see the table's sum row-sparse, the rest dense
+        assert {n: type(g) for n, g in first.grad.sums.items()} == {
+            n: RowGradient if n == "embedding.weight" else np.ndarray for n in model.params}
 
         poisoned = model.params[name]
 
@@ -558,13 +560,19 @@ class TestBatchStep:
         cfg = AdvConfig(epsilon=0.5, sigma=0.05, alpha=0.2, K=3)
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma, np.random.default_rng(22),
                                 meta={"epsilon": 0.5})
-        shared, step_tape, leftovers = [], [], []
-        embed, forward, real_backward = (model.embed, model.forward_from_embeddings,
-                                         adv.backward)
+        recorded, step_tape, leftovers = [], [], []
+        track, embed, forward, real_backward = (T._track, model.embed,
+                                                model.forward_from_embeddings, adv.backward)
+
+        def track_spy(*args):
+            out = track(*args)
+            recorded.append(weakref.ref(out.data))
+            return out
 
         def embed_spy(b):
+            start = len(recorded)
             x = embed(b)
-            shared.extend(node.data for node in topo_order(x))
+            del recorded[start:]        # the embedding outlives every step
             return x
 
         def forward_spy(*args, **kwargs):
@@ -572,11 +580,11 @@ class TestBatchStep:
             return forward(*args, **kwargs)
 
         def backward_spy(loss):
-            step_tape[:] = [weakref.ref(node.data) for node in topo_order(loss)
-                            if node._vjp is not None
-                            and not any(node.data is a for a in shared)]
+            step_tape[:] = recorded
+            recorded.clear()
             return real_backward(loss)
 
+        monkeypatch.setattr(T, "_track", track_spy)
         monkeypatch.setattr(model, "embed", embed_spy)
         monkeypatch.setattr(model, "forward_from_embeddings", forward_spy)
         monkeypatch.setattr(adv, "backward", backward_spy)

@@ -1,4 +1,7 @@
 """Data pipeline: tokenizer, synthetic generators, ingestion, batching."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,33 @@ class TestSyntheticTagging:
             predicted.append(tags)
         _, _, f1 = span_f1([ex.tags for ex in examples], predicted)
         assert f1 == 1.0
+
+
+def examples_sha256(examples) -> str:
+    blob = json.dumps([[ex.tokens, ex.label, ex.tags] for ex in examples])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestSyntheticDraws:
+    """The generated examples are pinned by a sha256 of their tokens, labels
+    and tags, so any change to the generators' draws or words shows."""
+
+    @pytest.mark.parametrize("n, seed, noise, classes, digest", [
+        (300, 1, 0.0, 2, "643d79162aba6f9eb22200ccbe753190203aa6ce2b35409b6fc47e18a1b516dd"),
+        (300, 2, 0.2, 3, "54dee090a7903c2ae4bafa0653de701c60c4d97ea86bb4902518e38f41ec9e19"),
+        (3000, 7, 0.1, 2, "068d2981bcb0afae8324094d3ac99f26e293abbdb8325d1b4d1959548866421e"),
+        (500, 7, 0.3, 3, "28f443a28960e37368d1eac6a732920d345c727bc18340e4d4835623a3a47132"),
+    ])
+    def test_classification(self, n, seed, noise, classes, digest):
+        examples = generate_synthetic_classification(n, seed, noise, classes)
+        assert examples_sha256(examples) == digest
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        (300, 1, "6414c34cb7a80adcf69333737ef3f7b246bb560a19b516ea20af91a984429c3c"),
+        (2000, 7, "10760c5ab46a04b5529f6611e62554035d2a7c12603f7dd023f2ed6896657bf8"),
+    ])
+    def test_tagging(self, n, seed, digest):
+        assert examples_sha256(generate_synthetic_tagging(n, seed)) == digest
 
 
 class TestDelimited:

@@ -1,5 +1,6 @@
 """Model: embedding injection point, mask behavior, checkpoint format."""
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +188,61 @@ class TestTapeBudget:
         batch = batch_of([[3, 4, 5, 6], [7, 8, 0, 0]], labels=[0, 2])
         loss = model.loss(model.forward(batch), batch)
         assert sum(t._vjp is not None for t in topo_order(loss)) == nodes
+
+    def perturbed_loss(self, model, batch, keep):
+        """The batch step's loss at (x + delta) + eta; ``keep`` gets each op's
+        name and output in recording order."""
+        track = T._track
+
+        def track_spy(*args):
+            out = track(*args)
+            keep.append((args[3], out.data))
+            return out
+
+        shape = batch.token_ids.shape + (model.config.dim,)
+        rng = np.random.default_rng(5)
+        delta, eta = (Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
+                      for _ in range(2))
+        T._track = track_spy
+        try:
+            perturbed = T.add(T.add(model.embed(batch), delta), eta)
+            loss = model.loss(model.forward_from_embeddings(perturbed, batch.mask), batch)
+        finally:
+            T._track = track
+        return loss, [delta, eta, *model.params.values()]
+
+    def test_tape_keeps_only_what_its_vjps_read(self):
+        """With the loss held, the op outputs no vjp reads are already freed:
+        x + delta, the q/k/v, wo, ffn.w1 and ffn.w2 projections, the masked
+        and the pooled sums. The gradients are bitwise those of a tape whose
+        every output is kept alive."""
+        model = small_model(dim=8, blocks=1, heads=2, ffn_dim=16)
+        batch = batch_of([[3, 4, 5, 6], [7, 8, 0, 0]], labels=[0, 2])
+
+        recorded = []
+        loss, leaves = self.perturbed_loss(model, batch, recorded)
+        refs = [(op, weakref.ref(data)) for op, data in recorded]
+        del recorded
+        matmuls = [ref for op, ref in refs if op == "matmul"]     # wq wk wv wo w1 w2 head
+        adds = [ref for op, ref in refs if op == "add"]           # x + delta, then + eta
+        freed = [adds[0], *matmuls[:6]] + [ref for op, ref in refs
+                                           if op in ("mask_fill", "sum")]
+        assert len(freed) == 9 and all(ref() is None for ref in freed)
+        # read by the vjps of wq/wk/wv and wo: alive while the loss is
+        assert adds[1]() is not None
+        assert next(ref for op, ref in refs if op == "attention")() is not None
+        for node in topo_order(loss):
+            cells = (node._vjp.__closure__ or ()) if node._vjp is not None else ()
+            for value in (c.cell_contents for c in cells):
+                assert not any(isinstance(v, Tensor) for v in
+                               (value if isinstance(value, tuple) else (value,))), node._op
+
+        kept = []
+        kept_loss, kept_leaves = self.perturbed_loss(model, batch, kept)
+        grads, kept_grads = backward(loss), backward(kept_loss)
+        for leaf, kept_leaf in zip(leaves, kept_leaves):
+            want = np.asarray(kept_grads[kept_leaf]).tobytes()
+            assert np.asarray(grads[leaf]).tobytes() == want
 
 
 class TestDeterminismAndSnapshot:

@@ -173,7 +173,8 @@ class TestBackward:
         y = mul(x, w)
         loss = T.reduce_sum(T.add(T.add(y, y), T.scale(Tensor(np.ones(4)), 2.0)))
         grads = backward(loss)
-        leaves = {t for t in topo_order(loss) if t.requires_grad and t._vjp is None}
+        # the walk reaches only tracked vertices: nodes and tracked leaves
+        leaves = {t for t in topo_order(loss) if t._vjp is None}
         assert grads.keys() == leaves == {x, w}
         np.testing.assert_array_equal(grads[x], 2 * w.data)
         np.testing.assert_array_equal(grads[w], 2 * x.data)
@@ -509,6 +510,47 @@ class TestRowGradient:
         copied = a.copy()
         copied.values[0, 1] = 9.0
         assert _bits(a) == _bits(da)
+
+    def test_row_slices_are_the_dense_rows(self):
+        g = T.RowGradient(np.array([1, 3, 4]), np.array([[-0.0, 2.0], [5.0, 6.0], [7.0, 8.0]]),
+                          (7, 2))
+        dense = np.asarray(g)
+        for block in (slice(0, 2), slice(1, 4), slice(2, 3), slice(4, 100), slice(5, 7),
+                      slice(None), slice(6, 2)):
+            assert _bits(g[block]) == _bits(dense[block])
+        for index in (1, slice(0, 4, 2), np.array([1, 3])):
+            with pytest.raises(TypeError):
+                g[index]
+
+    def test_only_the_first_backward_finds_the_distinct_ids(self, monkeypatch):
+        """A forward sorts no ids, so predict never does; the first backward
+        finds them and every later replay of the same lookup reuses them."""
+        calls = []
+        unique = np.unique
+
+        def unique_spy(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", unique_spy)
+        rng = np.random.default_rng(24)
+        table = Tensor(rng.uniform(-1, 1, size=(9, 5)), requires_grad=True)
+        g = self.upstream(rng)
+        loss = T.reduce_sum(mul(T.embedding_lookup(table, self.IDS), Tensor(g)))
+        assert calls == []
+        replays = [backward(loss)[table] for _ in range(3)]
+        assert len(calls) == 1
+        expected = _bits(_dense_scatter(table.shape, self.IDS, g))
+        assert all(_bits(r) == expected for r in replays)
+
+        from tavat.data import Batch
+        from tavat.model import ModelConfig, TextModel
+        model = TextModel(ModelConfig(vocab_size=9, dim=4, blocks=1, heads=2, max_len=4,
+                                      use_positional=True), rng=np.random.default_rng(0))
+        ids = np.array([[1, 2, 2, 0], [3, 1, 0, 0]])
+        calls.clear()
+        model.predict(Batch(ids, ids != 0, np.array([0, 1])))
+        assert calls == []
 
     @pytest.mark.parametrize("expression", [lambda g: -1.0 * g, lambda g: math.inf * g,
                                             lambda g: 1.0 + g])

@@ -12,7 +12,7 @@ from tavat.adv import AdvConfig
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import DatasetSpec, make_batches, Batch
 from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
-from tavat.tensor import Tensor
+from tavat.tensor import RowGradient, Tensor
 from tavat.train import (Adam, Seeds, TrainConfig, config_from_dict, evaluate,
                          format_ablation_table, parse_metrics, run_ablation,
                          summarize_records, train)
@@ -99,6 +99,54 @@ class TestAdam:
                 assert optimizer.m[n].tobytes() == m.tobytes()
                 assert optimizer.v[n].tobytes() == v.tobytes()
                 assert p.data is buffers[n]
+
+    def test_row_gradient_steps_like_its_dense_form_bitwise(self):
+        """A table's RowGradient goes in as it is. Over three whole row blocks,
+        the middle one untouched, a partial last block and a -0.0 entry,
+        parameter and moments move exactly as for the dense gradient."""
+        rng = np.random.default_rng(32)
+        block = Adam._BLOCK_ROWS
+        shape = (3 * block + 5, 4)
+        rows = np.array([0, 2, block - 1, 2 * block, 2 * block + 7, 3 * block + 4])
+        start = rng.uniform(-1, 1, size=shape)
+        sparse, dense = ({"table": Tensor(start.copy(), requires_grad=True)} for _ in range(2))
+        sparse_opt, dense_opt = Adam(self.LR), Adam(self.LR)
+        for _ in range(3):
+            values = rng.normal(size=(rows.size, shape[1]))
+            values[1, 2] = -0.0
+            g = RowGradient(rows, values, shape)
+            sparse_opt.step(sparse, {"table": g})
+            dense_opt.step(dense, {"table": np.asarray(g)})
+            assert sparse["table"].data.tobytes() == dense["table"].data.tobytes()
+            assert sparse_opt.m["table"].tobytes() == dense_opt.m["table"].tobytes()
+            assert sparse_opt.v["table"].tobytes() == dense_opt.v["table"].tobytes()
+        assert (sparse_opt.m["table"][block:2 * block] == 0.0).all()
+
+    def test_table_step_allocates_no_table_sized_array(self):
+        """Once the moments exist, a step over a 2 MB table and its RowGradient
+        allocates only block-sized temporaries."""
+        import tracemalloc
+
+        rng = np.random.default_rng(33)
+        shape = (4096, 64)
+        params = {"table": Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)}
+        rows = np.arange(0, shape[0], 7)
+
+        def grads():
+            return {"table": RowGradient(rows, rng.normal(size=(rows.size, shape[1])), shape)}
+
+        optimizer = Adam(self.LR)
+        optimizer.step(params, grads())
+        g = grads()
+        tracemalloc.start()
+        try:
+            optimizer.step(params, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the gradient block and two temporaries are 3 x 128 kB here
+        table_bytes = params["table"].data.nbytes
+        assert peak < table_bytes / 2, (peak, table_bytes)
 
 
 class TestTrainBasics:
@@ -465,6 +513,24 @@ class TestCLI:
         _, path = self.write_config(tmp_path, run_name="badflag")
         with pytest.raises(ValueError, match="epochs must be at least 0, got -1"):
             cli_main(["train", "--config", str(path), "--epochs", "-1"])
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+    def test_unknown_config_field_exits_with_one_error_line(self, tmp_path, capsys, command):
+        """A config file naming a field no config has, as one written before that
+        field was removed does, ends the command with one argparse error line
+        that names the field, before anything is written."""
+        config, path = self.write_config(tmp_path, run_name="stale")
+        raw = config.to_dict()
+        raw["model"]["encoder"] = "transformer"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        extra = ["--checkpoint", str(tmp_path / "absent.bin")] if command == "evaluate" else []
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command, "--config", str(path), *extra])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tavat {command}: error: {path}: ") and err.count("\n") == 1
+        assert "unexpected keyword argument 'encoder'" in err
+        assert not config.resolved_out_dir().exists()
 
     @pytest.mark.parametrize("mode", list(MODES))
     def test_mode_rows_build(self, tmp_path, mode):
