@@ -15,7 +15,7 @@ from .data import (Batch, DatasetSpec, Example, Tokenizer, build_tokenizer,
                    load_delimited, make_batches)
 from .model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from .tensor import Tensor, backward, cross_entropy_loss
-from .train import TrainConfig, evaluate, run_ablation, train
+from .train import TrainConfig, evaluate, run_ablation
 from .vocab import (PerturbationVocabulary, apply_to_embedding, gather,
                     init_vocabulary, load_vocabulary, save_vocabulary, scatter)
 

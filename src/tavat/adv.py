@@ -133,17 +133,12 @@ class AccumulatedGradient:
 
 @dataclass
 class StepReport:
-    """What one batch step did.
-
-    ``deltas`` and ``etas`` hold K + 1 perturbations: the one each inner
-    step evaluated at, then the final one. ``etas`` is empty when both
-    token-level features are off.
-    """
+    """One batch step's K inner-step losses and final perturbations;
+    ``eta`` is None when both token-level features are off."""
 
     losses: list
-    deltas: list
-    etas: list
-    grad: AccumulatedGradient
+    delta: np.ndarray
+    eta: np.ndarray | None
 
 
 def example_norms(p: np.ndarray) -> np.ndarray:
@@ -271,9 +266,6 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     accum = AccumulatedGradient()
     inv_k = 1.0 / cfg.K
     losses: list[float] = []
-    # each step rebinds delta and eta to new arrays, so these hold no copies
-    deltas = [delta]
-    etas = [eta] if cfg.eta_active else []
 
     # parameters move only after the loop, so one embedding serves all K steps
     x = model.embed(batch)
@@ -304,9 +296,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         if cfg.eta_active:
             eta = token_step(eta, grads[et], cfg.alpha, cfg.epsilon, mask,
                              use_token_norm=cfg.use_token_norm, _step=t)
-            etas.append(eta)
         delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
-        deltas.append(delta)
         del grads       # before step t + 1's backward builds the next map
 
     for name, g in accum.sums.items():
@@ -317,4 +307,4 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
                 epsilon=cfg.epsilon)
     optimizer.step(model.params, accum.sums)
 
-    return StepReport(losses=losses, deltas=deltas, etas=etas, grad=accum)
+    return StepReport(losses=losses, delta=delta, eta=eta)

@@ -84,10 +84,11 @@ def main(argv=None) -> int:
     if args.command in ("train", "evaluate", "ablate"):
         try:
             config = _load_config(args)
-        except TypeError as exc:
-            # a field no config has, such as one a removed option left in an old file
+        except (TypeError, ValueError) as exc:
+            # a field no config has, as in a file older than its removal, or a refused value
             command = sub.choices[args.command]
-            command.exit(2, f"{command.prog}: error: {args.config}: {exc}\n")
+            where = f"{args.config}: " if args.config else ""
+            command.exit(2, f"{command.prog}: error: {where}{exc}\n")
 
     if args.command == "train":
         result = train(config)

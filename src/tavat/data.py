@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _check_ints, _is_real
+from .model import _check_bools, _check_ints, _is_real
 
 PAD, CLS, SEP, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<cls>", "<sep>", "<unk>")
@@ -341,6 +341,7 @@ class DatasetSpec:
     def __post_init__(self):
         # two classes at least: the noise path draws from the other classes - 1
         _check_ints(self, (("n", 1), ("classes", 2), ("split_seed", 0)))
+        _check_bools(self, ("has_header",))
         for name in ("dev_fraction", "test_fraction"):
             value = getattr(self, name)
             if not _is_real(value) or not 0.0 <= value <= 1.0:

@@ -39,6 +39,13 @@ def _check_ints(config, least_by_name) -> None:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _check_bools(config, names) -> None:
+    """Raise ValueError unless each named field is True or False."""
+    for name in names:
+        if not isinstance(getattr(config, name), bool):
+            raise ValueError(f"{name} must be true or false, got {getattr(config, name)!r}")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -56,6 +63,7 @@ class ModelConfig:
             self.ffn_dim = 4 * self.dim
         _check_ints(self, (("vocab_size", 1), ("dim", 1), ("blocks", 0), ("heads", 1),
                            ("ffn_dim", 1), ("max_len", 1), ("classes", 1)))
+        _check_bools(self, ("use_positional",))
         if self.head not in ("classification", "tagging"):
             raise ValueError(f"unknown head kind {self.head!r}")
         if self.dim % self.heads:

@@ -22,7 +22,8 @@ import numpy as np
 from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1)
-from .model import ModelConfig, TextModel, _check_ints, _is_real, save_checkpoint
+from .model import (ModelConfig, TextModel, _check_bools, _check_ints, _is_real,
+                    save_checkpoint)
 from .tensor import RowGradient, Tensor
 from .vocab import (apply_to_embedding, init_vocabulary, load_vocabulary,
                     save_vocabulary)
@@ -126,6 +127,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_ints(self, (("epochs", 0), ("batch_size", 1), ("max_len", 2)))
+        _check_bools(self, ("save_ptb_vocab", "emit_metrics"))
         if not _is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
             raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -164,13 +166,19 @@ class MetricsWriter:
     """Append-only line-delimited records, flushed as they happen."""
 
     def __init__(self, path: Path | None):
-        self.path = path
         self._fh = open(path, "w", encoding="utf-8") if path else None
-        self.records: list[dict] = []
+        # the end-of-run summary of the records emitted so far
+        self.summary = {"kind": "summary", "steps": 0, "evaluations": 0,
+                        "final_loss": None, "final_dev_metric": None}
 
     def emit(self, record: dict) -> None:
         record = {"schema": METRICS_SCHEMA, **record}
-        self.records.append(record)
+        if record["kind"] == "step":
+            self.summary["steps"] += 1
+            self.summary["final_loss"] = record["losses"][-1]
+        elif record["kind"] == "eval":
+            self.summary["evaluations"] += 1
+            self.summary["final_dev_metric"] = record["metric"]
         if self._fh:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
@@ -184,20 +192,6 @@ class MetricsWriter:
 def parse_metrics(path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
-
-
-def summarize_records(records: list[dict]) -> dict:
-    """Aggregate a metrics stream back into its end-of-run summary fields."""
-    steps = [r for r in records if r.get("kind") == "step"]
-    evals = [r for r in records if r.get("kind") == "eval"]
-    summary = {
-        "kind": "summary",
-        "steps": len(steps),
-        "evaluations": len(evals),
-        "final_loss": steps[-1]["losses"][-1] if steps else None,
-        "final_dev_metric": evals[-1]["metric"] if evals else None,
-    }
-    return summary
 
 
 @dataclass
@@ -241,9 +235,9 @@ def _step_record(report, epoch: int, b_index: int, wall_time: float) -> dict:
     """The metrics record of one batch step, with the final perturbations' norms."""
     record = {"kind": "step", "epoch": epoch, "batch": b_index,
               "losses": [round(v, 10) for v in report.losses], "wall_time": wall_time}
-    for name, trajectory in (("delta", report.deltas), ("eta", report.etas)):
-        if trajectory:
-            norms = example_norms(trajectory[-1])
+    for name, perturbation in (("delta", report.delta), ("eta", report.eta)):
+        if perturbation is not None:
+            norms = example_norms(perturbation)
             record[f"{name}_norm_max"] = float(norms.max())
             record[f"{name}_norm_mean"] = float(norms.mean())
     return record
@@ -274,8 +268,9 @@ def _pin_allocator() -> None:
 
 def train(config: TrainConfig) -> TrainResult:
     """Run a full training job as configured; everything is seed-determined."""
+    # rebuilt, so a field assigned after construction is checked too
+    cfg = config_from_dict(config.to_dict())
     _pin_allocator()
-    cfg = config
     tokenizer, train_ex, dev_ex, _ = build_dataset(cfg.dataset, seed=cfg.seeds.data)
     if cfg.epochs and not train_ex:
         raise ValueError(f"the training split is empty: {cfg.epochs} epochs would run no step")
@@ -338,7 +333,6 @@ def train(config: TrainConfig) -> TrainResult:
             batches = make_batches(encoded_train, cfg.batch_size,
                                    seed=cfg.seeds.data + epoch, shuffle=True)
             for b_index, batch in enumerate(batches):
-                # no name holds the report, so its gradient is freed before the next step
                 writer.emit(_step_record(
                     tavat_batch_step(model, batch, vocab, cfg.adv, optimizer, rng_adv),
                     epoch, b_index, time.time() - started))
@@ -355,7 +349,7 @@ def train(config: TrainConfig) -> TrainResult:
         if cfg.save_ptb_vocab and vocab is not None and out_dir is not None:
             vocab_path = out_dir / "ptb_vocab.bin"
             save_vocabulary(vocab, vocab_path)
-        writer.emit(summarize_records(writer.records))
+        writer.emit(writer.summary)
     finally:
         writer.close()
 

@@ -25,6 +25,7 @@ from tavat.vocab import (FingerprintMismatch, apply_to_embedding, gather,
                          scatter)
 from oracles import (OracleReport, ball_grid_points, finite_difference_gradient,
                      grid_inner_max, reference_freelb_step)
+from stepwatch import RecordingOptimizer, Trajectory
 
 
 def criterion(number: int, description: str, passed: bool, detail: str = "") -> None:
@@ -224,7 +225,7 @@ class TestAcceptance:
                   worst_ratio >= 0.95 and elapsed <= 120.0,
                   f"worst ratio {worst_ratio:.4f}, {elapsed:.1f}s")
 
-    def test_c06_gradient_accumulation_ledger(self):
+    def test_c06_gradient_accumulation_ledger(self, monkeypatch):
         spec = DatasetSpec(n=400, noise=0.1, dev_fraction=0.0)
         tok, train_ex, _, _ = build_dataset(spec, seed=50)
         enc = encode_examples(tok, train_ex, 16)
@@ -236,20 +237,24 @@ class TestAcceptance:
         vocab = init_vocabulary(tok.vocab_size, 8, cfg.sigma,
                                 np.random.default_rng(52), meta={"epsilon": 0.4})
         rng = np.random.default_rng(53)
-        optimizer = SGD(0.05)
+        optimizer = RecordingOptimizer(SGD(0.05))
+        trajectory = Trajectory(monkeypatch)
         worst = 0.0
         for batch in batches:
             before = model.snapshot()
-            report = tavat_batch_step(model, batch, vocab, cfg, optimizer, rng)
+            trajectory.clear()
+            tavat_batch_step(model, batch, vocab, cfg, optimizer, rng)
             recomputed = {name: 0.0 for name in before.params}
-            for delta, eta in zip(report.deltas[:-1], report.etas[:-1]):
+            points = list(zip(trajectory.path("delta")[:-1], trajectory.path("eta")[:-1]))
+            assert len(points) == cfg.K
+            for delta, eta in points:
                 x = before.embed(batch)
                 perturbed = T.add(T.add(x, Tensor(delta)), Tensor(eta))
                 grads = backward(before.loss(
                     before.forward_from_embeddings(perturbed, batch.mask), batch))
                 for name, p in before.params.items():
                     recomputed[name] = recomputed[name] + np.asarray(grads[p]) / cfg.K
-            diff = max(np.abs(report.grad.sums[n] - recomputed[n]).max()
+            diff = max(np.abs(optimizer.grads[n] - recomputed[n]).max()
                        for n in recomputed)
             worst = max(worst, diff)
         oracle_report = OracleReport("worst accumulated-gradient gap vs recomputation",

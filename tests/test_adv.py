@@ -16,6 +16,7 @@ from tavat.tensor import RowGradient, backward
 from tavat.train import SGD, Adam, _step_record
 from tavat.vocab import init_vocabulary
 from oracles import reference_freelb_step, token_step_reference
+from stepwatch import RecordingOptimizer, Trajectory
 
 
 def make_batch(n=6, seed=7, batch_size=6, max_len=16):
@@ -291,14 +292,15 @@ class TestBatchStep:
                         epsilon=0.5, sigma=0.02, alpha=0.2, K=3)
         engine_model = make_model(tok, seed=1)
         ref_model = engine_model.snapshot()
-        report = tavat_batch_step(engine_model, batch, None, cfg, SGD(0.05),
+        optimizer = RecordingOptimizer(SGD(0.05))
+        report = tavat_batch_step(engine_model, batch, None, cfg, optimizer,
                                   np.random.default_rng(21))
         updated, accum, losses = reference_freelb_step(
             ref_model, batch, cfg, np.random.default_rng(21), lr=0.05)
         for name in engine_model.params:
             np.testing.assert_array_equal(engine_model.params[name].data, updated[name])
         for name in accum:
-            np.testing.assert_array_equal(report.grad.sums[name], accum[name])
+            np.testing.assert_array_equal(optimizer.grads[name], accum[name])
         np.testing.assert_array_equal(report.losses, losses)
 
     def test_all_off_toggles_also_reduce_to_freelb(self):
@@ -325,12 +327,12 @@ class TestBatchStep:
         clean_model = model.snapshot()
         cfg = AdvConfig(mode="tavat", use_vocab=False, use_token_norm=False,
                         sigma=0.0, K=1)
-        report = tavat_batch_step(model, batch, None, cfg, SGD(0.0),
-                                  np.random.default_rng(0))
+        optimizer = RecordingOptimizer(SGD(0.0))
+        tavat_batch_step(model, batch, None, cfg, optimizer, np.random.default_rng(0))
         logits = clean_model.forward(batch)
         grads = backward(clean_model.loss(logits, batch))
         for name, p in clean_model.params.items():
-            np.testing.assert_array_equal(report.grad.sums[name], grads[p])
+            np.testing.assert_array_equal(optimizer.grads[name], grads[p])
 
     def test_pgd_single_step_equals_freelb_single_step(self):
         tok, batch = make_batch()
@@ -345,15 +347,17 @@ class TestBatchStep:
         for name in m1.params:
             np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
 
-    def test_pgd_uses_only_last_step_gradient(self):
+    def test_pgd_uses_only_last_step_gradient(self, monkeypatch):
         tok, batch = make_batch()
         model = make_model(tok, seed=4)
         cfg = AdvConfig(mode="pgd", use_vocab=False, use_token_norm=False,
                         epsilon=0.5, sigma=0.01, alpha=0.2, K=3)
-        report = tavat_batch_step(model.snapshot(), batch, None, cfg, SGD(0.05),
-                                  np.random.default_rng(5))
+        trajectory = Trajectory(monkeypatch)
+        optimizer = RecordingOptimizer(SGD(0.05))
+        tavat_batch_step(model.snapshot(), batch, None, cfg, optimizer,
+                         np.random.default_rng(5))
         # recompute the parameter gradient where the last inner step evaluated
-        delta_last = report.deltas[-2]
+        delta_last = trajectory.path("delta")[-2]
         probe = model.snapshot()
         from tavat import tensor as T
         from tavat.tensor import Tensor
@@ -362,9 +366,9 @@ class TestBatchStep:
             T.add(x, Tensor(delta_last, requires_grad=True)), batch.mask)
         grads = backward(probe.loss(logits, batch))
         for name, p in probe.params.items():
-            np.testing.assert_array_equal(report.grad.sums[name], grads[p])
+            np.testing.assert_array_equal(optimizer.grads[name], grads[p])
 
-    def test_vocab_replay_unique_tokens(self):
+    def test_vocab_replay_unique_tokens(self, monkeypatch):
         """Second visit to the same batch starts eta at the last final eta."""
         tok, batch = make_batch(batch_size=2)
         ids = batch.token_ids
@@ -376,10 +380,11 @@ class TestBatchStep:
         rng = np.random.default_rng(7)
         tavat_batch_step(model, batch, vocab, cfg, SGD(0.0), rng)
         table_after_first = vocab.table.copy()
-        second = tavat_batch_step(model, batch, vocab, cfg, SGD(0.0), rng)
+        trajectory = Trajectory(monkeypatch)
+        tavat_batch_step(model, batch, vocab, cfg, SGD(0.0), rng)
         # eta0 of the second call must equal scatter(final eta of the first):
         # for ids occurring once the stored row is exactly the final slice.
-        eta0_second = second.etas[0]
+        eta0_second = trajectory.path("eta")[0]
         unique, counts = np.unique(ids[batch.mask], return_counts=True)
         singles = set(unique[counts == 1])
         checked = 0
@@ -391,18 +396,20 @@ class TestBatchStep:
                     checked += 1
         assert checked >= 3
 
-    def test_norm_safety_throughout(self):
+    def test_norm_safety_throughout(self, monkeypatch):
         tok, batch = make_batch()
         model = make_model(tok, seed=6)
         cfg = AdvConfig(epsilon=0.3, sigma=0.05, alpha=0.4, K=4)
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
                                 np.random.default_rng(8), meta={"epsilon": 0.3})
-        report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
-                                  np.random.default_rng(9))
-        for p in report.deltas[1:] + report.etas[1:]:
+        trajectory = Trajectory(monkeypatch)
+        tavat_batch_step(model, batch, vocab, cfg, SGD(0.05), np.random.default_rng(9))
+        deltas, etas = trajectory.path("delta"), trajectory.path("eta")
+        assert len(deltas) == len(etas) == cfg.K + 1
+        for p in deltas[1:] + etas[1:]:
             assert example_norms(p).max() <= 0.3 + 1e-9
 
-    def test_padding_neutrality(self):
+    def test_padding_neutrality(self, monkeypatch):
         """delta, eta, and their gradients stay exactly zero off-mask."""
         tok, batch = make_batch(batch_size=4)
         assert not batch.mask.all()
@@ -410,9 +417,11 @@ class TestBatchStep:
         cfg = AdvConfig(epsilon=1.0, sigma=0.05, alpha=0.3, K=2)
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
                                 np.random.default_rng(10), meta={"epsilon": 1.0})
-        report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
-                                  np.random.default_rng(11))
-        for p in report.deltas + report.etas:
+        trajectory = Trajectory(monkeypatch)
+        tavat_batch_step(model, batch, vocab, cfg, SGD(0.05), np.random.default_rng(11))
+        deltas, etas = trajectory.path("delta"), trajectory.path("eta")
+        assert len(deltas) == len(etas) == cfg.K + 1
+        for p in deltas + etas:
             assert (p[~batch.mask] == 0.0).all()
         # gradients at padded positions are exactly zero by mask construction
         from tavat import tensor as T
@@ -423,7 +432,7 @@ class TestBatchStep:
             model.forward_from_embeddings(T.add(x, d), batch.mask), batch))
         assert (grads[d][~batch.mask] == 0.0).all()
 
-    def test_accumulation_identity_recompute(self):
+    def test_accumulation_identity_recompute(self, monkeypatch):
         """Optimizer-visible gradient equals (1/K) sum of recomputed step grads."""
         tok, batch = make_batch()
         model = make_model(tok, seed=8)
@@ -431,12 +440,15 @@ class TestBatchStep:
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
                                 np.random.default_rng(12), meta={"epsilon": 1.0})
         before = model.snapshot()
-        report = tavat_batch_step(model, batch, vocab, cfg, SGD(0.05),
-                                  np.random.default_rng(13))
+        trajectory = Trajectory(monkeypatch)
+        optimizer = RecordingOptimizer(SGD(0.05))
+        tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(13))
         from tavat import tensor as T
         from tavat.tensor import Tensor
         recomputed = {name: 0.0 for name in before.params}
-        for delta, eta in zip(report.deltas[:-1], report.etas[:-1]):
+        points = list(zip(trajectory.path("delta")[:-1], trajectory.path("eta")[:-1]))
+        assert len(points) == cfg.K
+        for delta, eta in points:
             x = before.embed(batch)
             perturbed = T.add(T.add(x, Tensor(delta)), Tensor(eta))
             grads = backward(before.loss(
@@ -444,7 +456,7 @@ class TestBatchStep:
             for name, p in before.params.items():
                 recomputed[name] = recomputed[name] + np.asarray(grads[p]) / cfg.K
         for name in recomputed:
-            assert np.abs(report.grad.sums[name] - recomputed[name]).max() <= 1e-10
+            assert np.abs(optimizer.grads[name] - recomputed[name]).max() <= 1e-10
 
     def test_abort_leaves_params_and_vocab_untouched(self):
         tok, batch = make_batch()
@@ -472,9 +484,10 @@ class TestBatchStep:
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma,
                                 np.random.default_rng(14), meta={"epsilon": 1.0})
         optimizer = Adam(0.01)
-        first = tavat_batch_step(model, batch, vocab, cfg, optimizer, np.random.default_rng(15))
-        # the optimizer and the report see the table's sum row-sparse, the rest dense
-        assert {n: type(g) for n, g in first.grad.sums.items()} == {
+        recording = RecordingOptimizer(optimizer)
+        tavat_batch_step(model, batch, vocab, cfg, recording, np.random.default_rng(15))
+        # the optimizer sees the table's sum row-sparse, the rest dense
+        assert {n: type(g) for n, g in recording.grads.items()} == {
             n: RowGradient if n == "embedding.weight" else np.ndarray for n in model.params}
 
         poisoned = model.params[name]
@@ -593,26 +606,28 @@ class TestBatchStep:
         assert leftovers == [0, 0, 0]
 
     @pytest.mark.parametrize("mode", ["tavat", "freelb"])
-    def test_report_holds_the_perturbation_trajectory(self, mode):
-        """K + 1 distinct perturbations per active kind; the step record reads the last."""
+    def test_report_holds_the_final_perturbations(self, mode, monkeypatch):
+        """The report's delta and eta are the last inner step's outputs (eta None
+        when token-level features are off); the step record reads their norms."""
         tok, batch = make_batch()
         on = mode == "tavat"
         cfg = AdvConfig(epsilon=0.5, sigma=0.05, alpha=0.2, K=3, mode=mode,
                         use_vocab=on, use_token_norm=on)
         vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma, np.random.default_rng(20),
                                 meta={"epsilon": 0.5}) if on else None
+        trajectory = Trajectory(monkeypatch)
         report = tavat_batch_step(make_model(tok, seed=12), batch, vocab, cfg, SGD(0.05),
                                   np.random.default_rng(21))
         record = _step_record(report, 0, 0, 0.0)
-        for name, trajectory, active in (("delta", report.deltas, True),
-                                         ("eta", report.etas, on)):
-            assert len(trajectory) == (cfg.K + 1 if active else 0)
-            assert len({id(p) for p in trajectory}) == len(trajectory)
+        for name, final, active in (("delta", report.delta, True),
+                                    ("eta", report.eta, on)):
             if active:
-                norms = example_norms(trajectory[-1])
+                assert final is trajectory.path(name)[-1]
+                norms = example_norms(final)
                 assert record[f"{name}_norm_max"] == float(norms.max())
                 assert record[f"{name}_norm_mean"] == float(norms.mean())
             else:
+                assert final is None and trajectory.path(name) == []
                 assert f"{name}_norm_max" not in record
 
     def test_requires_vocab_when_enabled(self):

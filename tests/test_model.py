@@ -58,6 +58,8 @@ def test_config_rejects_out_of_range_sizes(field, overrides):
     ("heads", dict(heads="2")),
     ("vocab_size", dict(vocab_size=None)),
     ("ffn_dim", dict(ffn_dim=16.0)),
+    ("use_positional", dict(use_positional="false")),
+    ("use_positional", dict(use_positional=1)),
 ])
 def test_config_rejects_wrong_types(field, overrides):
     with pytest.raises(ValueError, match=field):
@@ -328,6 +330,14 @@ class TestCheckpoint:
 
         self.add_hyperparameters(path, encoder="mlp")
         with pytest.raises(CheckpointFormatError, match="transformer encoder"):
+            load_checkpoint(path)
+
+    def test_non_bool_switch_rejected(self, tmp_path):
+        """A crafted file whose switch is a string is refused, not read by its truthiness."""
+        path = tmp_path / "model.bin"
+        save_checkpoint(small_model(seed=5, use_positional=True), path)
+        self.add_hyperparameters(path, use_positional="true")
+        with pytest.raises(CheckpointFormatError, match="use_positional must be true or false"):
             load_checkpoint(path)
 
     def test_loaded_parameters_are_writable(self, tmp_path):

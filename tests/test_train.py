@@ -1,6 +1,5 @@
 """Trainer: reproducibility, mode lattice, metrics stream, ablations, CLI."""
 import dataclasses
-import importlib
 import json
 import re
 import types
@@ -8,14 +7,16 @@ import types
 import numpy as np
 import pytest
 
+import tavat.cli as cli_module
+import tavat.train as train_module
 from tavat.adv import AdvConfig
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import DatasetSpec, make_batches, Batch
 from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from tavat.tensor import RowGradient, Tensor
-from tavat.train import (Adam, Seeds, TrainConfig, config_from_dict, evaluate,
-                         format_ablation_table, parse_metrics, run_ablation,
-                         summarize_records, train)
+from tavat.train import (Adam, MetricsWriter, Seeds, TrainConfig, config_from_dict,
+                         evaluate, format_ablation_table, parse_metrics, run_ablation,
+                         train)
 from test_golden import load_workloads
 
 
@@ -40,7 +41,6 @@ def strip_time(records):
 
 class TestAllocatorPin:
     def test_train_pins_the_allocator(self, tmp_path, monkeypatch):
-        train_module = importlib.import_module("tavat.train")
         calls = []
         monkeypatch.setattr(train_module, "_pin_allocator", lambda: calls.append(1))
         config = quick_config(tmp_path, run_name="pin")
@@ -49,7 +49,6 @@ class TestAllocatorPin:
         assert calls == [1]
 
     def test_pin_sets_both_thresholds(self, monkeypatch):
-        train_module = importlib.import_module("tavat.train")
         calls = []
 
         def mallopt(param, value):
@@ -62,7 +61,6 @@ class TestAllocatorPin:
         assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 
     def test_pin_is_quiet_without_mallopt(self, monkeypatch):
-        train_module = importlib.import_module("tavat.train")
         monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: object())
         assert train_module._pin_allocator() is None
 
@@ -207,8 +205,6 @@ class TestTrainBasics:
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_checkpoint_written_at_step_zero_and_each_epoch(self, tmp_path, monkeypatch,
                                                             epochs):
-        # the package re-exports the function ``train`` under the module's name
-        train_module = importlib.import_module("tavat.train")
         real_save, calls = train_module.save_checkpoint, []
 
         def counting_save(model, path):
@@ -348,9 +344,10 @@ class TestMetricsStream:
         result = train(quick_config(tmp_path, run_name="summary"))
         records = parse_metrics(result.metrics_path)
         stored = [r for r in records if r["kind"] == "summary"][-1]
-        rebuilt = summarize_records([r for r in records if r["kind"] != "summary"])
-        for key, value in rebuilt.items():
-            assert stored[key] == value
+        replay = MetricsWriter(None)
+        for record in records[:-1]:
+            replay.emit(record)
+        assert {"schema": 1, **replay.summary} == stored
 
     def test_empty_run_is_summary_only(self, tmp_path):
         config = quick_config(tmp_path, run_name="empty")
@@ -450,10 +447,33 @@ class TestConfigSerialization:
         ({"seeds": {"data": 1.5}}, "data must be an integer, got 1.5"),
         ({"seeds": {"adversarial": True}}, "adversarial must be an integer, got True"),
         ({"seeds": {"data": -2}}, "data must be at least 0, got -2"),
+        ({"dataset": {"has_header": "false"}}, "has_header must be true or false, got 'false'"),
+        ({"model": {"vocab_size": 20, "use_positional": "false"}},
+         "use_positional must be true or false, got 'false'"),
+        ({"save_ptb_vocab": "no"}, "save_ptb_vocab must be true or false, got 'no'"),
+        ({"emit_metrics": 0}, "emit_metrics must be true or false, got 0"),
     ])
     def test_run_shape_checked_at_construction(self, raw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(raw)
+
+    def test_train_checks_a_config_edited_after_construction(self, tmp_path):
+        config = quick_config(tmp_path, run_name="edited")
+        config.lr = "0.05"
+        with pytest.raises(ValueError, match=re.escape("lr must be a finite positive "
+                                                       "number, got '0.05'")):
+            train(config)
+        config.lr, config.model.use_positional = 0.05, "false"
+        with pytest.raises(ValueError, match="use_positional must be true or false"):
+            train(config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_rebuilds_each_benchmark_config_unchanged(self, tmp_path):
+        """The entry check is a round trip through the config's dict form."""
+        workloads = load_workloads()
+        for name in workloads.WORKLOADS:
+            config = workloads.make_config(name, 1, tmp_path)
+            assert config_from_dict(config.to_dict()) == config
 
 
 class TestCLI:
@@ -488,7 +508,6 @@ class TestCLI:
         foreign = tmp_path / "foreign.bin"
         save_checkpoint(TextModel(dataclasses.replace(config.model, vocab_size=40),
                                   rng=np.random.default_rng(0)), foreign)
-        cli_module = importlib.import_module("tavat.cli")
 
         def no_batches(*args, **kwargs):
             raise AssertionError("batches built for a mismatched checkpoint")
@@ -509,10 +528,45 @@ class TestCLI:
         table = config.resolved_out_dir() / "ablation-table6.json"
         assert table.exists() and len(json.loads(table.read_text())) == 3
 
-    def test_flags_checked_like_config_fields(self, tmp_path):
-        _, path = self.write_config(tmp_path, run_name="badflag")
-        with pytest.raises(ValueError, match="epochs must be at least 0, got -1"):
+    def test_flags_checked_like_config_fields(self, tmp_path, capsys):
+        config, path = self.write_config(tmp_path, run_name="badflag")
+        with pytest.raises(SystemExit) as exited:
             cli_main(["train", "--config", str(path), "--epochs", "-1"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == (
+            f"tavat train: error: {path}: epochs must be at least 0, got -1\n")
+        assert not config.resolved_out_dir().exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        ({"adv": {"epsilon": 0}}, "epsilon must be positive, got 0"),
+        ({"dataset": {"has_header": "false"}}, "has_header must be true or false, got 'false'"),
+    ])
+    def test_refused_config_value_exits_with_one_error_line(self, tmp_path, capsys, command,
+                                                            edit, message):
+        """A value a config refuses ends the command as an unknown field does,
+        before anything is written."""
+        config, path = self.write_config(tmp_path, run_name="refused")
+        raw = config.to_dict()
+        for key, value in edit.items():
+            raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        extra = ["--checkpoint", str(tmp_path / "absent.bin")] if command == "evaluate" else []
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command, "--config", str(path), *extra])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == f"tavat {command}: error: {path}: {message}\n"
+        assert not config.resolved_out_dir().exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_refused_flag_exits_with_one_error_line(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command, "--out-dir", str(tmp_path), "--epochs", "-1"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == (
+            f"tavat {command}: error: epochs must be at least 0, got -1\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
     def test_unknown_config_field_exits_with_one_error_line(self, tmp_path, capsys, command):
