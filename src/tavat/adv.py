@@ -67,9 +67,9 @@ class SpecialTokenPolicy:
 class AdvConfig:
     """Knobs of the adversarial loop; ablation switches included."""
 
-    epsilon: float = 1.0
-    sigma: float = 0.08            # 1e-2 * sqrt(default embedding dim)
-    alpha: float = 0.3
+    epsilon: float = 0.1
+    sigma: float = 0.01
+    alpha: float = 0.03
     K: int = 3
     use_vocab: bool = True
     use_token_norm: bool = True
@@ -128,7 +128,8 @@ class AccumulatedGradient:
                 self.sums[name] = 0.0 + weight * g
 
     def replace(self, named_grads) -> None:
-        self.sums = {name: g.copy() for name, g in named_grads}
+        # kept as they are: backward and the optimizers only read a gradient
+        self.sums = dict(named_grads)
 
 
 @dataclass

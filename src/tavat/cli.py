@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 from .data import build_dataset, encode_examples, make_batches
-from .model import load_checkpoint, save_checkpoint
+from .model import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .train import (OPTIMIZERS, TrainConfig, config_from_dict, evaluate,
                     format_ablation_table, run_ablation, train)
-from .vocab import apply_to_embedding, load_vocabulary
+from .vocab import VocabularyFormatError, apply_to_embedding, load_vocabulary
 
 
 # --mode: AdvConfig overrides; "clean" is plain fine-tuning, a single zero
@@ -33,7 +33,7 @@ def _load_config(args) -> TrainConfig:
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",
-                 "save_ptb_vocab", "init_embedding_from_vocab"):
+                 "init_embedding_from_vocab"):
         value = getattr(args, name, None)
         if value is not None:
             raw[name] = value
@@ -51,12 +51,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=list(MODES))
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--run-name", dest="run_name")
-    p.add_argument("--save-ptb-vocab", action="store_true", default=None,
-                   dest="save_ptb_vocab")
     p.add_argument("--init-embedding-from-vocab", dest="init_embedding_from_vocab")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``tavat`` parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(prog="tavat",
                                      description="Token-aware virtual adversarial training")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,26 +78,34 @@ def main(argv=None) -> int:
     p_export.add_argument("--checkpoint", required=True)
     p_export.add_argument("--vocab", required=True)
     p_export.add_argument("--out", required=True)
+    return parser, sub.choices
 
+
+def main(argv=None) -> int:
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("train", "evaluate", "ablate"):
-        try:
-            config = _load_config(args)
-        except (TypeError, ValueError) as exc:
-            # a field no config has, as in a file older than its removal, or a refused value
-            command = sub.choices[args.command]
-            where = f"{args.config}: " if args.config else ""
-            command.exit(2, f"{command.prog}: error: {where}{exc}\n")
+    command = commands[args.command]
+    try:
+        config = None if args.command == "export-vocab" else _load_config(args)
+    except (TypeError, ValueError) as exc:
+        # a field no config has, as in a file older than its removal, or a refused value
+        where = f"{args.config}: " if args.config else ""
+        command.exit(2, f"{command.prog}: error: {where}{exc}\n")
+    try:
+        return _run(args, config)
+    except (CheckpointFormatError, VocabularyFormatError) as exc:
+        # a file that is not what its flag names, or not one for this run; the message names it
+        command.exit(2, f"{command.prog}: error: {exc}\n")
 
+
+def _run(args, config: TrainConfig | None) -> int:
     if args.command == "train":
         result = train(config)
         print(f"run {config.run_name}: dev metric {result.dev_metric}")
-        if result.checkpoint_path:
-            print(f"checkpoint: {result.checkpoint_path}")
+        print(f"checkpoint: {result.checkpoint_path}")
         if result.vocab_path:
             print(f"perturbation vocabulary: {result.vocab_path}")
-        if result.metrics_path:
-            print(f"metrics: {result.metrics_path}")
+        print(f"metrics: {result.metrics_path}")
         return 0
 
     if args.command == "evaluate":
@@ -106,8 +113,8 @@ def main(argv=None) -> int:
         tokenizer, train_ex, dev_ex, test_ex = build_dataset(
             config.dataset, seed=config.seeds.data)
         if model.config.vocab_size != tokenizer.vocab_size:
-            raise ValueError(
-                f"checkpoint vocab_size {model.config.vocab_size} != dataset tokenizer "
+            raise CheckpointFormatError(
+                f"{args.checkpoint}: vocab_size {model.config.vocab_size} != dataset tokenizer "
                 f"{tokenizer.vocab_size}: the checkpoint was trained on another vocabulary")
         examples = {"train": train_ex, "dev": dev_ex, "test": test_ex}[args.split]
         batches = make_batches(encode_examples(tokenizer, examples, config.max_len),

@@ -322,9 +322,9 @@ def label_histogram(examples) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # dataset assembly
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
-    """What data to run on and how to split it, fully seed-determined."""
+    """What data to run on and how to split it; frozen, so ``build_dataset`` trusts its checks."""
 
     source: str = "synthetic-classification"   # | "synthetic-tagging" | "delimited"
     n: int = 2000
@@ -342,6 +342,12 @@ class DatasetSpec:
         # two classes at least: the noise path draws from the other classes - 1
         _check_ints(self, (("n", 1), ("classes", 2), ("split_seed", 0)))
         _check_bools(self, ("has_header",))
+        if self.source not in ("synthetic-classification", "synthetic-tagging", "delimited"):
+            raise ValueError(f"unknown dataset source {self.source!r}")
+        if self.source == "delimited" and self.path is None:
+            raise ValueError("delimited source needs a path")
+        if not _is_real(self.noise) or not 0.0 <= self.noise < 0.5:
+            raise ValueError(f"noise must be a number in [0, 0.5), got {self.noise!r}")
         for name in ("dev_fraction", "test_fraction"):
             value = getattr(self, name)
             if not _is_real(value) or not 0.0 <= value <= 1.0:
@@ -360,14 +366,10 @@ def build_dataset(spec: DatasetSpec, seed: int):
     elif spec.source == "synthetic-tagging":
         examples = generate_synthetic_tagging(spec.n, seed=seed)
         vocab = tagging_vocabulary()
-    elif spec.source == "delimited":
-        if spec.path is None:
-            raise ValueError("delimited source needs a path")
+    else:   # "delimited"; DatasetSpec refuses any other source and a missing path
         examples = load_delimited(spec.path, spec.column_map,
                                   delimiter=spec.delimiter, has_header=spec.has_header)
         vocab = sorted({t for ex in examples for t in ex.tokens})
-    else:
-        raise ValueError(f"unknown dataset source {spec.source!r}")
 
     tokenizer = build_tokenizer(vocab)
     order = np.arange(len(examples))

@@ -207,7 +207,7 @@ CHECKPOINT_VERSION = 1
 
 
 class CheckpointFormatError(ValueError):
-    """Corrupt, truncated, mis-versioned or over-long model checkpoint."""
+    """Corrupt, truncated, mis-versioned, over-long or mismatched model checkpoint."""
 
 
 def save_checkpoint(model: TextModel, path) -> None:

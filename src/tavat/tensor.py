@@ -408,7 +408,7 @@ class RowGradient:
     ``rows`` is sorted and unique, and ``values[i]`` is the gradient of
     row ``rows[i]``. ``np.asarray`` gives the dense table, ``+0.0`` off
     ``rows``, and ``g[start:stop]`` that table's rows ``start:stop``
-    without the rest. Besides ``copy()`` it has only the arithmetic that
+    without the rest. Besides that it has only the arithmetic that
     ``backward`` and a K-step sum do with a gradient: ``w * g`` for a
     finite ``w >= 0``, ``0.0 + g``, and ``g + g`` over the union of rows.
     Each evaluates the dense expression's arithmetic on the rows it keeps,
@@ -440,9 +440,6 @@ class RowGradient:
         out = self[:]
         return out if dtype is None else out.astype(dtype, copy=False)
 
-    def copy(self) -> RowGradient:
-        return RowGradient(self.rows, self.values.copy(), self.shape)
-
     def __rmul__(self, w):
         # off the rows w * 0.0 must stay +0.0: no negative, infinite or NaN w
         if not (isinstance(w, (int, float)) and 0 <= w < math.inf):
@@ -461,17 +458,18 @@ class RowGradient:
         return RowGradient(rows, self._on(rows) + other._on(rows), self.shape)
 
 
+def _check_ids(what: str, ids: np.ndarray, n: int) -> None:
+    """Raise IndexError unless every id names one of a table's ``n`` rows."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"{what}: token id out of range [0, {n}): min={ids.min()}, max={ids.max()}")
+
+
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of an N x D table; the gradient sums back by id as a RowGradient."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError("embedding_lookup: ids must be integers")
-    n = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise IndexError(
-            f"embedding_lookup: token id out of range [0, {n}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
+    _check_ids("embedding_lookup", ids, table.shape[0])
     out = table.data[ids]
     shape = table.shape
     rows = slot = None

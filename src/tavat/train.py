@@ -3,8 +3,9 @@
 One process runs one training job. Seeds are split by role (parameter
 init, data order, adversarial draws) so ablation arms can share data
 order while varying only the adversarial behavior. Every run writes a
-line-delimited metrics stream plus a checkpoint, and identical configs
-with identical seeds reproduce both bit for bit.
+checkpoint, a line-delimited metrics stream and, when in use, the
+perturbation vocabulary; identical configs and seeds reproduce all
+three bit for bit.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,8 +24,7 @@ import numpy as np
 from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1)
-from .model import (ModelConfig, TextModel, _check_bools, _check_ints, _is_real,
-                    save_checkpoint)
+from .model import ModelConfig, TextModel, _check_ints, _is_real, save_checkpoint
 from .tensor import RowGradient, Tensor
 from .vocab import (apply_to_embedding, init_vocabulary, load_vocabulary,
                     save_vocabulary)
@@ -121,13 +122,10 @@ class TrainConfig:
     max_len: int = 32
     out_dir: str | None = None
     run_name: str = "run"
-    save_ptb_vocab: bool = True        # written only when the vocabulary is in use
     init_embedding_from_vocab: str | None = None
-    emit_metrics: bool = True
 
     def __post_init__(self):
         _check_ints(self, (("epochs", 0), ("batch_size", 1), ("max_len", 2)))
-        _check_bools(self, ("save_ptb_vocab", "emit_metrics"))
         if not _is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
             raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -198,9 +196,9 @@ def parse_metrics(path) -> list[dict]:
 class TrainResult:
     model: TextModel
     dev_metric: float | None
-    checkpoint_path: Path | None
-    vocab_path: Path | None
-    metrics_path: Path | None
+    checkpoint_path: Path
+    vocab_path: Path | None             # None when the run has no vocabulary
+    metrics_path: Path
     tokenizer_fingerprint: str
 
 
@@ -274,14 +272,6 @@ def train(config: TrainConfig) -> TrainResult:
     tokenizer, train_ex, dev_ex, _ = build_dataset(cfg.dataset, seed=cfg.seeds.data)
     if cfg.epochs and not train_ex:
         raise ValueError(f"the training split is empty: {cfg.epochs} epochs would run no step")
-    out_dir = cfg.resolved_out_dir() if (cfg.out_dir or cfg.emit_metrics
-                                         or cfg.save_ptb_vocab) else None
-    metrics_path = checkpoint_path = vocab_path = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_path = out_dir / "metrics.jsonl" if cfg.emit_metrics else None
-        checkpoint_path = out_dir / "checkpoint.bin"
-
     fingerprint = tokenizer.fingerprint()
     tagging = cfg.dataset.source == "synthetic-tagging"
 
@@ -318,6 +308,10 @@ def train(config: TrainConfig) -> TrainResult:
     encoded_dev = encode_examples(tokenizer, dev_ex, cfg.max_len)
     dev_batches = make_batches(encoded_dev, cfg.batch_size) if encoded_dev else []
 
+    out_dir = cfg.resolved_out_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)   # after every refusal above
+    checkpoint_path, metrics_path = out_dir / "checkpoint.bin", out_dir / "metrics.jsonl"
+    vocab_path = None if vocab is None else out_dir / "ptb_vocab.bin"
     writer = MetricsWriter(metrics_path)
     started = time.time()
     writer.emit({"kind": "config", "config": cfg.to_dict(),
@@ -327,8 +321,7 @@ def train(config: TrainConfig) -> TrainResult:
                  "tokenizer_fingerprint": fingerprint})
     try:
         dev_metric = None
-        if checkpoint_path is not None:
-            save_checkpoint(model, checkpoint_path)   # last-good from step zero
+        save_checkpoint(model, checkpoint_path)   # last-good from step zero
         for epoch in range(cfg.epochs):
             batches = make_batches(encoded_train, cfg.batch_size,
                                    seed=cfg.seeds.data + epoch, shuffle=True)
@@ -340,14 +333,12 @@ def train(config: TrainConfig) -> TrainResult:
                 dev_metric = _dev_metric(model, dev_batches)
                 writer.emit({"kind": "eval", "epoch": epoch, "metric": dev_metric,
                              "wall_time": time.time() - started})
-            if checkpoint_path is not None:
-                save_checkpoint(model, checkpoint_path)
+            save_checkpoint(model, checkpoint_path)
         if cfg.epochs == 0 and dev_batches:
             dev_metric = _dev_metric(model, dev_batches)
             writer.emit({"kind": "eval", "epoch": -1, "metric": dev_metric,
                          "wall_time": time.time() - started})
-        if cfg.save_ptb_vocab and vocab is not None and out_dir is not None:
-            vocab_path = out_dir / "ptb_vocab.bin"
+        if vocab is not None:
             save_vocabulary(vocab, vocab_path)
         writer.emit(writer.summary)
     finally:
@@ -392,7 +383,7 @@ def run_ablation(config: TrainConfig, grid: str = "table5",
     ``grid`` is "table5" (vocabulary x token norm) or "table6" (which
     token groups write the vocabulary). All arms share the data seed so
     they see identical batches; the init and adversarial seeds vary only
-    across replication seeds, never across arms.
+    across replication seeds, never across arms. Each is a run of its own.
     """
     seeds = seeds or [1, 2, 3]
     if not isinstance(grid, str) or grid not in ABLATION_GRIDS:
@@ -400,14 +391,14 @@ def run_ablation(config: TrainConfig, grid: str = "table5",
 
     rows = []
     for label, overrides in ABLATION_GRIDS[grid]:
-        suffix = "-".join(f"{k}{v}" for k, v in label.items())
+        # path-safe: special_tokens(True, False) gives special_tokens-True-False
+        suffix = re.sub(r"[^\w.]+", "-", "-".join(f"{k}{v}" for k, v in label.items())).strip("-")
         metrics = []
         for s in seeds:
             arm = dataclasses.replace(
                 config, adv=dataclasses.replace(config.adv, **overrides),
                 seeds=Seeds(init=s, data=config.seeds.data, adversarial=s + 1000),
-                run_name=f"{config.run_name}-ablate-{suffix}-s{s}",
-                emit_metrics=False, save_ptb_vocab=False)
+                run_name=f"{config.run_name}-ablate-{suffix}-s{s}")
             metrics.append(train(arm).dev_metric)
         rows.append({
             **{k: (list(v) if isinstance(v, tuple) else v) for k, v in label.items()},

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import container
 from .data import PAD
+from .tensor import _check_ids
 
 VOCAB_MAGIC = b"TAVV"
 VOCAB_VERSION = 1
@@ -59,9 +60,7 @@ def gather(vocab: PerturbationVocabulary, token_ids: np.ndarray,
            mask: np.ndarray) -> np.ndarray:
     """Per-position rows of the table; padded positions come back zero."""
     ids = np.asarray(token_ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab.vocab_size):
-        raise IndexError(
-            f"gather: token id out of range [0, {vocab.vocab_size}): max={ids.max()}")
+    _check_ids("gather", ids, vocab.vocab_size)
     out = vocab.table[ids]             # integer-array indexing copies
     out[~np.asarray(mask, dtype=bool)] = 0.0
     return out
@@ -77,6 +76,7 @@ def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarr
     ``epsilon``.
     """
     ids = np.asarray(token_ids).reshape(-1)
+    _check_ids("scatter", ids, vocab.vocab_size)
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     slices = np.asarray(eta_final).reshape(-1, vocab.dim)
 

@@ -347,7 +347,7 @@ class TestAcceptance:
                 seeds=Seeds(init=seed, data=777, adversarial=seed + 500),
                 optimizer="adam", lr=lr, epochs=epochs, batch_size=32, max_len=24,
                 out_dir=str(tmp_path / f"trend-{n_train}-{seed}-{adv.mode}"),
-                run_name="t", emit_metrics=False,
+                run_name="t",
             )
             return train(config).dev_metric
 
@@ -387,7 +387,7 @@ class TestAcceptance:
                 dataset=DatasetSpec(n=120, noise=0.1, dev_fraction=0.25),
                 seeds=Seeds(init=7, data=8, adversarial=9),
                 lr=0.05, epochs=2, batch_size=16, max_len=24,
-                out_dir=str(root), run_name="det", save_ptb_vocab=True,
+                out_dir=str(root), run_name="det",
             )
 
         r1 = train(config(tmp_path / "a"))

@@ -494,7 +494,7 @@ class TestBatchStep:
 
         def poisoning_backward(loss):
             grads = backward(loss)
-            grads[poisoned] = grads[poisoned].copy()
+            grads[poisoned] = 0.0 + grads[poisoned]    # a fresh array or row values
             poison(grads[poisoned])
             return grads
 

@@ -1,4 +1,5 @@
 """Data pipeline: tokenizer, synthetic generators, ingestion, batching."""
+import dataclasses
 import hashlib
 import json
 
@@ -228,6 +229,12 @@ class TestDatasetAssembly:
         assert key(train1) == key(train2)
         assert not (set(key(train1)) & set(key(dev1)) & set(key(test1)))
         assert tok1.fingerprint() == tok2.fingerprint()
+
+    def test_spec_is_frozen(self):
+        """build_dataset trusts the checks a spec passed at construction."""
+        spec = DatasetSpec(source="delimited", path="rows.tsv")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.path = None
 
     def test_label_histogram(self):
         examples = generate_synthetic_classification(100, seed=23, noise=0.0)

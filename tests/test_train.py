@@ -217,29 +217,27 @@ class TestTrainBasics:
         train(config)
         assert len(calls) == epochs + 1
 
-    def test_vocab_saved_when_requested(self, tmp_path):
-        config = quick_config(tmp_path, run_name="vocabrun")
-        config.save_ptb_vocab = True
-        result = train(config)
-        assert result.vocab_path is not None and result.vocab_path.exists()
+    def test_vocab_saved_when_in_use(self, tmp_path):
+        result = train(quick_config(tmp_path, run_name="vocabrun"))
+        assert result.vocab_path == tmp_path / "vocabrun" / "ptb_vocab.bin"
         from tavat.vocab import load_vocabulary
         vocab = load_vocabulary(result.vocab_path,
                                 expect_fingerprint=result.tokenizer_fingerprint)
         assert vocab.vocab_size == 56
+        plain = train(quick_config(tmp_path, run_name="novocab", use_vocab=False))
+        assert plain.vocab_path is None
+        assert sorted(p.name for p in (tmp_path / "novocab").iterdir()) == [
+            "checkpoint.bin", "metrics.jsonl"]
 
     def test_embedding_warm_start_from_vocab(self, tmp_path):
-        first = quick_config(tmp_path, run_name="teach")
-        first.save_ptb_vocab = True
-        taught = train(first)
+        taught = train(quick_config(tmp_path, run_name="teach"))
         second = quick_config(tmp_path, run_name="warm")
         second.init_embedding_from_vocab = str(taught.vocab_path)
         warm = train(second)
         assert warm.dev_metric is not None
 
     def test_fingerprint_guard_on_warm_start(self, tmp_path):
-        first = quick_config(tmp_path, run_name="teach2")
-        first.save_ptb_vocab = True
-        taught = train(first)
+        taught = train(quick_config(tmp_path, run_name="teach2"))
         second = quick_config(tmp_path, run_name="mismatch")
         second.dataset = DatasetSpec(source="synthetic-tagging", n=120,
                                      dev_fraction=0.25)
@@ -382,7 +380,6 @@ class TestAblation:
         for i, s in enumerate([5, 6]):
             arm = dataclasses.replace(freelb_cfg)
             arm.seeds = Seeds(init=s, data=config.seeds.data, adversarial=s + 1000)
-            arm.emit_metrics = False
             arm.run_name = f"fre-{s}"
             assert train(arm).dev_metric == all_off["per_seed"][i]
         table = format_ablation_table(rows)
@@ -414,7 +411,9 @@ class TestConfigSerialization:
                                      {"adv": {"use_instance_delta": False}},
                                      {"model": {"vocab_size": 20, "encoder": "mlp"}},
                                      {"model": {"vocab_size": 20, "dropout": 0.0}},
-                                     {"dataset": {"subsample_count": 10}}])
+                                     {"dataset": {"subsample_count": 10}},
+                                     {"save_ptb_vocab": True},
+                                     {"emit_metrics": False}])
     def test_removed_fields_rejected(self, raw):
         with pytest.raises(TypeError, match="unexpected keyword"):
             config_from_dict(raw)
@@ -450,8 +449,10 @@ class TestConfigSerialization:
         ({"dataset": {"has_header": "false"}}, "has_header must be true or false, got 'false'"),
         ({"model": {"vocab_size": 20, "use_positional": "false"}},
          "use_positional must be true or false, got 'false'"),
-        ({"save_ptb_vocab": "no"}, "save_ptb_vocab must be true or false, got 'no'"),
-        ({"emit_metrics": 0}, "emit_metrics must be true or false, got 0"),
+        ({"dataset": {"noise": 0.7}}, "noise must be a number in [0, 0.5), got 0.7"),
+        ({"dataset": {"noise": "0.1"}}, "noise must be a number in [0, 0.5), got '0.1'"),
+        ({"dataset": {"source": "bogus"}}, "unknown dataset source 'bogus'"),
+        ({"dataset": {"source": "delimited"}}, "delimited source needs a path"),
     ])
     def test_run_shape_checked_at_construction(self, raw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -485,13 +486,16 @@ class TestCLI:
 
     def test_train_evaluate_and_export(self, tmp_path, capsys):
         config, path = self.write_config(tmp_path, run_name="cli")
-        assert cli_main(["train", "--config", str(path), "--epochs", "1",
-                         "--save-ptb-vocab"]) == 0
+        assert cli_main(["train", "--config", str(path), "--epochs", "1"]) == 0
         out = capsys.readouterr().out
         assert "dev metric" in out
         checkpoint = config.resolved_out_dir() / "checkpoint.bin"
         vocab_file = config.resolved_out_dir() / "ptb_vocab.bin"
-        assert checkpoint.exists() and vocab_file.exists()
+        metrics_file = config.resolved_out_dir() / "metrics.jsonl"
+        assert out.splitlines()[1:] == [f"checkpoint: {checkpoint}",
+                                        f"perturbation vocabulary: {vocab_file}",
+                                        f"metrics: {metrics_file}"]
+        assert checkpoint.exists() and vocab_file.exists() and metrics_file.exists()
 
         assert cli_main(["evaluate", "--checkpoint", str(checkpoint),
                          "--config", str(path)]) == 0
@@ -503,7 +507,15 @@ class TestCLI:
         capsys.readouterr()
         assert merged.exists()
 
-    def test_evaluate_rejects_checkpoint_of_another_vocabulary(self, tmp_path, monkeypatch):
+    def assert_refused(self, capsys, argv, message):
+        """``argv`` ends with exit status 2 and the one error line ``message``."""
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv)
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == f"tavat {argv[0]}: error: {message}\n"
+
+    def test_evaluate_rejects_checkpoint_of_another_vocabulary(self, tmp_path, monkeypatch,
+                                                              capsys):
         config, path = self.write_config(tmp_path, run_name="foreign")
         foreign = tmp_path / "foreign.bin"
         save_checkpoint(TextModel(dataclasses.replace(config.model, vocab_size=40),
@@ -513,8 +525,71 @@ class TestCLI:
             raise AssertionError("batches built for a mismatched checkpoint")
 
         monkeypatch.setattr(cli_module, "make_batches", no_batches)
-        with pytest.raises(ValueError, match=r"vocab_size 40 != dataset tokenizer 56"):
-            cli_main(["evaluate", "--checkpoint", str(foreign), "--config", str(path)])
+        self.assert_refused(
+            capsys, ["evaluate", "--checkpoint", str(foreign), "--config", str(path)],
+            f"{foreign}: vocab_size 40 != dataset tokenizer 56: the checkpoint was trained "
+            f"on another vocabulary")
+
+    def test_evaluate_refuses_a_truncated_checkpoint(self, tmp_path, capsys):
+        config, path = self.write_config(tmp_path, run_name="cut")
+        cut = tmp_path / "cut.bin"
+        save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), cut)
+        cut.write_bytes(cut.read_bytes()[:-8])
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["evaluate", "--checkpoint", str(cut), "--config", str(path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tavat evaluate: error: {cut}: truncated or corrupt checkpoint")
+        assert err.count("\n") == 1
+
+    def test_vocabulary_flags_refuse_a_file_that_is_not_one(self, tmp_path, capsys):
+        """export-vocab and a warm start name the file; the run directory is never made."""
+        config, path = self.write_config(tmp_path, run_name="notvocab")
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
+        message = f"{checkpoint}: not a vocabulary (bad magic)"
+        self.assert_refused(capsys, ["export-vocab", "--checkpoint", str(checkpoint),
+                                     "--vocab", str(checkpoint),
+                                     "--out", str(tmp_path / "merged.bin")], message)
+        self.assert_refused(capsys, ["train", "--config", str(path),
+                                     "--init-embedding-from-vocab", str(checkpoint)], message)
+        assert not (tmp_path / "merged.bin").exists()
+        assert not config.resolved_out_dir().exists()
+
+    def test_an_internal_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        """Only a file's own format errors become one line; an engine fault propagates."""
+        from tavat.tensor import ShapeError
+        config, path = self.write_config(tmp_path, run_name="fault")
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
+
+        def faulty(model, batches):
+            raise ShapeError("an engine fault")
+
+        monkeypatch.setattr(cli_module, "evaluate", faulty)
+        with pytest.raises(ShapeError, match="an engine fault"):
+            cli_main(["evaluate", "--checkpoint", str(checkpoint), "--config", str(path)])
+
+    def test_ablate_arms_each_leave_a_run_directory(self, tmp_path, capsys):
+        """Each table6 arm is a run like any other, in a directory whose name
+        a shell takes without quoting."""
+        config, path = self.write_config(tmp_path, run_name="arms")
+        config.dataset = DatasetSpec(n=60, noise=0.1, dev_fraction=0.25)
+        path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        assert cli_main(["ablate", "--config", str(path), "--grid", "table6",
+                         "--seeds", "4", "--epochs", "1"]) == 0
+        capsys.readouterr()
+        arms = sorted(p for p in tmp_path.iterdir() if p.name.startswith("arms-ablate-"))
+        assert [p.name for p in arms] == [
+            "arms-ablate-special_tokens-False-True-s4",
+            "arms-ablate-special_tokens-True-False-s4",
+            "arms-ablate-special_tokens-True-True-s4"]
+        for arm in arms:
+            # every table6 arm writes the vocabulary; only the policy differs
+            assert sorted(p.name for p in arm.iterdir()) == [
+                "checkpoint.bin", "metrics.jsonl", "ptb_vocab.bin"]
+            assert re.fullmatch(r"[A-Za-z0-9_.-]+", arm.name)
+            assert parse_metrics(arm / "metrics.jsonl")[-1]["kind"] == "summary"
 
     def test_ablate_subcommand(self, tmp_path, capsys):
         config, path = self.write_config(tmp_path, run_name="cliablate")
@@ -542,6 +617,9 @@ class TestCLI:
         ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
         ({"adv": {"epsilon": 0}}, "epsilon must be positive, got 0"),
         ({"dataset": {"has_header": "false"}}, "has_header must be true or false, got 'false'"),
+        ({"dataset": {"noise": 0.7}}, "noise must be a number in [0, 0.5), got 0.7"),
+        ({"dataset": {"source": "bogus"}}, "unknown dataset source 'bogus'"),
+        ({"dataset": {"source": "delimited", "path": None}}, "delimited source needs a path"),
     ])
     def test_refused_config_value_exits_with_one_error_line(self, tmp_path, capsys, command,
                                                             edit, message):
@@ -569,13 +647,16 @@ class TestCLI:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
-    def test_unknown_config_field_exits_with_one_error_line(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("section, field", [("model", "encoder"), (None, "save_ptb_vocab"),
+                                                (None, "emit_metrics")])
+    def test_unknown_config_field_exits_with_one_error_line(self, tmp_path, capsys, command,
+                                                            section, field):
         """A config file naming a field no config has, as one written before that
         field was removed does, ends the command with one argparse error line
         that names the field, before anything is written."""
         config, path = self.write_config(tmp_path, run_name="stale")
         raw = config.to_dict()
-        raw["model"]["encoder"] = "transformer"
+        (raw[section] if section else raw)[field] = True
         path.write_text(json.dumps(raw), encoding="utf-8")
         extra = ["--checkpoint", str(tmp_path / "absent.bin")] if command == "evaluate" else []
         with pytest.raises(SystemExit) as exited:
@@ -583,7 +664,7 @@ class TestCLI:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"tavat {command}: error: {path}: ") and err.count("\n") == 1
-        assert "unexpected keyword argument 'encoder'" in err
+        assert f"unexpected keyword argument '{field}'" in err
         assert not config.resolved_out_dir().exists()
 
     @pytest.mark.parametrize("mode", list(MODES))
@@ -595,12 +676,6 @@ class TestCLI:
     def test_clean_mode_is_the_clean_workload(self, tmp_path):
         clean = load_workloads().make_config("tagging-clean", 1, tmp_path).adv
         assert _load_config(types.SimpleNamespace(config=None, mode="clean")).adv == clean
-
-    def test_config_keeps_save_ptb_vocab_without_the_flag(self, tmp_path, capsys):
-        config, path = self.write_config(tmp_path, run_name="keepvocab")
-        assert cli_main(["train", "--config", str(path), "--epochs", "1"]) == 0
-        capsys.readouterr()
-        assert (config.resolved_out_dir() / "ptb_vocab.bin").exists()
 
     def test_clean_mode_flag(self, tmp_path, capsys):
         _, path = self.write_config(tmp_path, run_name="cleanrun")

@@ -1,5 +1,6 @@
 """Perturbation vocabulary: gather/scatter, persistence, embedding transfer."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ class TestScatter:
         scatter(vocab, ids, np.ones((1, 1), dtype=bool), np.array([[[30.0, 40.0]]]),
                 special_token_policy=EVERYONE, epsilon=1.0)
         assert np.linalg.norm(vocab.table[4]) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_id_out_of_range_writes_nothing(self, bad):
+        """A negative id would otherwise index the table from its end."""
+        vocab = init_vocabulary(6, 2, 0.5, np.random.default_rng(3))
+        before = vocab.table.copy()
+        with pytest.raises(IndexError, match=re.escape("scatter: token id out of range [0, 6)")):
+            scatter(vocab, np.array([[4, bad]]), np.ones((1, 2), dtype=bool),
+                    np.ones((1, 2, 2)), special_token_policy=EVERYONE, epsilon=10.0)
+        np.testing.assert_array_equal(vocab.table, before)
 
     def test_isolation(self):
         """Only rows named by unpadded, permitted ids change."""
