@@ -85,17 +85,30 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     command = commands[args.command]
+
+    def refuse(message) -> None:
+        command.exit(2, f"{command.prog}: error: {message}\n")
+
+    config = None
     try:
-        config = None if args.command == "export-vocab" else _load_config(args)
-    except (TypeError, ValueError) as exc:
-        # a field no config has, as in a file older than its removal, or a refused value
-        where = f"{args.config}: " if args.config else ""
-        command.exit(2, f"{command.prog}: error: {where}{exc}\n")
-    try:
+        if args.command != "export-vocab":
+            try:
+                config = _load_config(args)
+            except (TypeError, ValueError) as exc:
+                # a field no config has, as in a file older than its removal, or a refused value
+                refuse(f"{args.config}: {exc}" if args.config else exc)
         return _run(args, config)
     except (CheckpointFormatError, VocabularyFormatError) as exc:
         # a file that is not what its flag names, or not one for this run; the message names it
-        command.exit(2, f"{command.prog}: error: {exc}\n")
+        refuse(exc)
+    except FileNotFoundError as exc:
+        # only a path the command was given; any other missing file is a fault
+        given = {getattr(args, name, None) for name in ("config", "checkpoint", "vocab")}
+        if config is not None:
+            given.add(config.init_embedding_from_vocab)
+        if exc.filename is None or exc.filename not in given:
+            raise
+        refuse(f"{exc.filename}: no such file")
 
 
 def _run(args, config: TrainConfig | None) -> int:

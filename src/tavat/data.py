@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -88,6 +89,11 @@ class Batch:
 
 # ---------------------------------------------------------------------------
 # synthetic tasks
+#
+# A run of same-range draws is one call: rng.integers(k, size=m) gives the
+# values of m calls of rng.integers(k) and leaves the generator in the same
+# state (TestDrawRule in tests/test_data.py checks this), so an example is
+# the one that a draw per word makes.
 
 CUES_PER_CLASS = 6
 FILLER_COUNT = 40
@@ -123,11 +129,11 @@ def generate_synthetic_classification(n: int, seed: int, noise: float,
         majority = int(rng.integers(2, 5))
         counts = [int(rng.integers(0, majority)) for _ in range(classes)]
         counts[true_class] = majority
-        cues = [cue_words[c][int(rng.integers(CUES_PER_CLASS))]
-                for c in range(classes) for _ in range(counts[c])]
+        picks = iter(rng.integers(CUES_PER_CLASS, size=sum(counts)).tolist())
+        cues = [cue_words[c][next(picks)] for c in range(classes) for _ in range(counts[c])]
         length = max(int(rng.integers(MIN_WORDS, MAX_WORDS + 1)), len(cues))
-        fillers = [FILLERS[int(rng.integers(FILLER_COUNT))] for _ in range(length - len(cues))]
-        tokens = cues + fillers
+        tokens = cues + [FILLERS[i] for i in
+                         rng.integers(FILLER_COUNT, size=length - len(cues)).tolist()]
         rng.shuffle(tokens)
         label = true_class
         if noise > 0 and rng.random() < noise:
@@ -168,7 +174,7 @@ def generate_synthetic_tagging(n: int, seed: int) -> list[Example]:
     examples = []
     for _ in range(n):
         length = int(rng.integers(TAG_MIN_WORDS, TAG_MAX_WORDS + 1))
-        tokens = [FILLERS[int(rng.integers(FILLER_COUNT))] for _ in range(length)]
+        tokens = [FILLERS[i] for i in rng.integers(FILLER_COUNT, size=length).tolist()]
         tags = [tag_id["O"]] * length
         spans = int(rng.integers(0, 3))
         cursor = 0
@@ -295,20 +301,24 @@ def make_batches(encoded, batch_size: int, seed: int | None = None,
         np.random.default_rng(seed).shuffle(order)
     batches = []
     for start in range(0, len(encoded), batch_size):
-        chunk = [encoded[i] for i in order[start:start + batch_size]]
+        chunk = [encoded[i] for i in order[start:start + batch_size].tolist()]
         width = max(len(ex.ids) for ex in chunk)
-        ids = np.full((len(chunk), width), PAD, dtype=np.int64)
-        tagging = chunk[0].tags is not None
-        labels = (np.zeros((len(chunk), width), dtype=np.int64) if tagging
-                  else np.zeros(len(chunk), dtype=np.int64))
-        for r, ex in enumerate(chunk):
-            ids[r, : len(ex.ids)] = ex.ids
-            if tagging:
-                labels[r, : len(ex.tags)] = ex.tags
-            else:
-                labels[r] = ex.label
+        ids = _padded([ex.ids for ex in chunk], width, PAD)
+        if chunk[0].tags is not None:
+            labels = _padded([ex.tags for ex in chunk], width, 0)
+        else:
+            labels = np.array([ex.label for ex in chunk], dtype=np.int64)
         batches.append(Batch(token_ids=ids, mask=ids != PAD, labels=labels))
     return batches
+
+
+def _padded(rows: list[list[int]], width: int, fill: int) -> np.ndarray:
+    """(len(rows), width) int64 matrix: each row left-aligned, then ``fill``."""
+    out = np.full((len(rows), width), fill, dtype=np.int64)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    out[np.arange(width) < lengths[:, None]] = np.fromiter(chain.from_iterable(rows),
+                                                          dtype=np.int64)
+    return out
 
 
 def label_histogram(examples) -> dict[int, int]:

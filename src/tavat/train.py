@@ -311,7 +311,10 @@ def train(config: TrainConfig) -> TrainResult:
     out_dir = cfg.resolved_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)   # after every refusal above
     checkpoint_path, metrics_path = out_dir / "checkpoint.bin", out_dir / "metrics.jsonl"
-    vocab_path = None if vocab is None else out_dir / "ptb_vocab.bin"
+    vocab_path = out_dir / "ptb_vocab.bin"
+    if vocab is None:   # a file there is an earlier run's, not this checkpoint's pair
+        vocab_path.unlink(missing_ok=True)
+        vocab_path = None
     writer = MetricsWriter(metrics_path)
     started = time.time()
     writer.emit({"kind": "config", "config": cfg.to_dict(),

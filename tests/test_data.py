@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from tavat.data import (CLS, PAD, SEP, UNK, Batch, DatasetSpec, build_dataset,
-                        build_tokenizer, encode_examples,
+from tavat.data import (CLS, CUES_PER_CLASS, FILLER_COUNT, PAD, SEP, UNK, Batch,
+                        DatasetSpec, build_dataset, build_tokenizer, encode_examples,
                         generate_synthetic_classification, generate_synthetic_tagging,
                         label_histogram, load_delimited, make_batches, span_f1,
-                        spans_from_tags, tagging_tag_names)
+                        spans_from_tags, synthetic_vocabulary, tagging_tag_names,
+                        tagging_vocabulary)
 from oracles import cue_majority_oracle
 
 
@@ -137,6 +138,35 @@ class TestSyntheticDraws:
         assert examples_sha256(generate_synthetic_tagging(n, seed)) == digest
 
 
+class TestDrawRule:
+    """The generators take a run of same-range draws in one call. Their pinned
+    examples rely on numpy's ``integers(k, size=m)`` giving the values of m
+    calls of ``integers(k)`` and leaving the generator in the state those
+    calls leave it in, for the ranges and run lengths the generators use."""
+
+    PRELUDES = {
+        "random": lambda rng: rng.random(),
+        "one scalar draw": lambda rng: rng.integers(7),
+        "three scalar draws": lambda rng: [rng.integers(7) for _ in range(3)],
+    }
+
+    @pytest.mark.parametrize("prelude", list(PRELUDES))
+    @pytest.mark.parametrize("k", [CUES_PER_CLASS, FILLER_COUNT])
+    def test_one_call_draws_what_scalar_calls_draw(self, k, prelude):
+        for m in range(15):
+            for seed in range(4):
+                bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                self.PRELUDES[prelude](bulk)
+                self.PRELUDES[prelude](scalar)
+                got = bulk.integers(k, size=m).tolist()
+                want = [int(scalar.integers(k)) for _ in range(m)]
+                rule = (f"numpy {np.__version__} breaks the generators' draw rule: "
+                        f"integers({k}, size={m}) after {prelude} (seed {seed}) must equal "
+                        f"{m} calls of integers({k}) and leave the same generator state")
+                assert got == want, rule
+                assert bulk.bit_generator.state == scalar.bit_generator.state, rule
+
+
 class TestDelimited:
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "data.tsv"
@@ -209,6 +239,35 @@ class TestBatching:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.token_ids, y.token_ids)
 
+    @pytest.mark.parametrize("task, shuffle, digest", [
+        ("classification", False,
+         "4cac3b685359c21b608ce96de5af79122749d1084ff75a27bbee961541085854"),
+        ("classification", True,
+         "929ac8114c17a13a05b818a7b3da0e30d02b626aabc4fb8073920b3f347acd24"),
+        ("tagging", False, "741ebf9f34a8ceb36dd29715747de50139668985d92454150ce64f8725f99b7b"),
+        ("tagging", True, "d7c93b4b252d7a30960a0cbda14d4e3ed36c35349952b3942b2998b1fcead948"),
+    ])
+    def test_batch_bytes_pinned(self, task, shuffle, digest):
+        """A sha256 of every batch's arrays (dtype, shape, bytes), on sets whose
+        longest rows are cut at max_len and whose last batch is partial."""
+        if task == "classification":
+            tok = build_tokenizer(synthetic_vocabulary(3))
+            examples = generate_synthetic_classification(103, seed=3, noise=0.2, classes=3)
+            batch_size = 16
+        else:
+            tok = build_tokenizer(tagging_vocabulary())
+            examples = generate_synthetic_tagging(77, seed=4)
+            batch_size = 10
+        batches = make_batches(encode_examples(tok, examples, max_len=12), batch_size,
+                               seed=5, shuffle=shuffle)
+        assert batches[-1].size == 7
+        h = hashlib.sha256()
+        for b in batches:
+            for a in (b.token_ids, b.mask, b.labels):
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
     def test_batch_invariants_enforced(self):
         ids = np.array([[0, 0]])
         with pytest.raises(ValueError):
@@ -227,7 +286,11 @@ class TestDatasetAssembly:
         assert len(train1) == 140 and len(dev1) == 40 and len(test1) == 20
         key = lambda exs: [tuple(ex.tokens) for ex in exs]
         assert key(train1) == key(train2)
-        assert not (set(key(train1)) & set(key(dev1)) & set(key(test1)))
+        ids = lambda exs: {id(ex) for ex in exs}
+        assert not ids(train1) & ids(dev1)
+        assert not ids(train1) & ids(test1)
+        assert not ids(dev1) & ids(test1)
+        assert len(ids(train1) | ids(dev1) | ids(test1)) == 200
         assert tok1.fingerprint() == tok2.fingerprint()
 
     def test_spec_is_frozen(self):

@@ -229,6 +229,15 @@ class TestTrainBasics:
         assert sorted(p.name for p in (tmp_path / "novocab").iterdir()) == [
             "checkpoint.bin", "metrics.jsonl"]
 
+    def test_run_without_vocabulary_removes_an_earlier_one(self, tmp_path):
+        """A reused run directory holds only what its latest run wrote."""
+        train(quick_config(tmp_path, run_name="r"))
+        assert (tmp_path / "r" / "ptb_vocab.bin").exists()
+        result = train(quick_config(tmp_path, run_name="r", **MODES["freelb"]))
+        assert result.vocab_path is None
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+            "checkpoint.bin", "metrics.jsonl"]
+
     def test_embedding_warm_start_from_vocab(self, tmp_path):
         taught = train(quick_config(tmp_path, run_name="teach"))
         second = quick_config(tmp_path, run_name="warm")
@@ -555,6 +564,29 @@ class TestCLI:
                                      "--init-embedding-from-vocab", str(checkpoint)], message)
         assert not (tmp_path / "merged.bin").exists()
         assert not config.resolved_out_dir().exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "{missing}"],
+        ["train", "--config", "{config}", "--init-embedding-from-vocab", "{missing}"],
+        ["ablate", "--config", "{config}", "--init-embedding-from-vocab", "{missing}"],
+        ["evaluate", "--checkpoint", "{checkpoint}", "--config", "{missing}"],
+        ["evaluate", "--checkpoint", "{missing}", "--config", "{config}"],
+        ["export-vocab", "--checkpoint", "{missing}", "--vocab", "{checkpoint}",
+         "--out", "{out}"],
+        ["export-vocab", "--checkpoint", "{checkpoint}", "--vocab", "{missing}",
+         "--out", "{out}"],
+    ])
+    def test_missing_file_exits_with_one_error_line(self, tmp_path, capsys, argv):
+        """A path a flag names that does not exist ends the command with one line
+        naming it, before anything is written."""
+        config, path = self.write_config(tmp_path, run_name="missing")
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
+        missing = tmp_path / "absent" / "nope.bin"
+        argv = [a.format(config=path, checkpoint=checkpoint, missing=missing,
+                         out=tmp_path / "merged.bin") for a in argv]
+        self.assert_refused(capsys, argv, f"{missing}: no such file")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "model.bin"]
 
     def test_an_internal_error_keeps_its_traceback(self, tmp_path, monkeypatch):
         """Only a file's own format errors become one line; an engine fault propagates."""
