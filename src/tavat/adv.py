@@ -4,9 +4,10 @@ Two perturbations ride on the embedding output: an instance-level one
 bounded by a per-example Frobenius ball, and a token-level one whose
 ascent direction is normalized per token and re-scaled by each token's
 share of the largest accumulated perturbation in its sequence. The
-token-level table persists across batches through the perturbation
-vocabulary. PGD and the single-perturbation accumulate-K baseline fall
-out of the same loop as configuration reductions.
+token-level one persists across batches in the perturbation vocabulary,
+whose rows are drawn and held to the epsilon ball by the same formulas.
+PGD and the single-perturbation accumulate-K baseline fall out of the
+same loop as configuration reductions.
 
 All update arithmetic here is plain float64 ndarray math; gradients
 come from one tape replay per inner step, which yields the parameter,
@@ -22,16 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .model import _is_int, _is_real
-from .tensor import Tensor, backward
-from .vocab import PerturbationVocabulary, gather, scatter
+from .data import PAD
+from .model import ConfigError, _check_bools, _check_ints, _is_int, _is_real
+from .tensor import Tensor, _check_ids, backward
+from .vocab import PerturbationVocabulary
 
 NORM_FLOOR = 1e-12
 PROJECT_SLACK = 1e-12
-
-
-class ConfigError(ValueError):
-    """Inconsistent adversarial configuration."""
 
 
 class NonFiniteGradient(FloatingPointError):
@@ -87,11 +85,8 @@ class AdvConfig:
             raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
         if self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not _is_int(self.K) or self.K < 1:
-            raise ConfigError(f"K must be a positive integer, got {self.K!r}")
-        for name in ("use_vocab", "use_token_norm"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        _check_ints(self, (("K", 1),))
+        _check_bools(self, ("use_vocab", "use_token_norm"))
         if self.mode not in ("tavat", "freelb", "pgd"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode in ("freelb", "pgd") and self.eta_active:
@@ -171,6 +166,54 @@ def project_frobenius(p: np.ndarray, epsilon: float) -> np.ndarray:
     if not outside.any():
         return p
     return p * np.where(outside, epsilon / np.maximum(norms, NORM_FLOOR), 1.0)
+
+
+def init_vocabulary(n: int, d: int, sigma: float, rng: np.random.Generator,
+                    meta: dict | None = None) -> PerturbationVocabulary:
+    """An n x d table drawn as ``init_delta`` draws, with the padding row zeroed."""
+    if n <= 0 or d <= 0:
+        raise ValueError("vocabulary dimensions must be positive")
+    table = init_delta((n, d), sigma, np.arange(n) != PAD, rng)
+    return PerturbationVocabulary(table=table, meta={"sigma": sigma, "steps_seen": 0,
+                                                     **(meta or {})})
+
+
+def gather(vocab: PerturbationVocabulary, token_ids: np.ndarray,
+           mask: np.ndarray) -> np.ndarray:
+    """Per-position rows of the table; padded positions come back zero."""
+    ids = np.asarray(token_ids)
+    _check_ids("gather", ids, vocab.vocab_size)
+    out = vocab.table[ids]             # integer-array indexing copies
+    out[~np.asarray(mask, dtype=bool)] = 0.0
+    return out
+
+
+def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarray,
+            eta_final: np.ndarray, *, special_token_policy,
+            epsilon: float) -> PerturbationVocabulary:
+    """Write final perturbation slices back by token id.
+
+    Repeated ids within the batch are averaged; the padding row and any
+    policy-excluded ids are never touched. Each written row is projected
+    onto the epsilon ball, as ``project_frobenius`` projects a sequence.
+    """
+    ids = np.asarray(token_ids).reshape(-1)
+    _check_ids("scatter", ids, vocab.vocab_size)
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    slices = np.asarray(eta_final).reshape(-1, vocab.dim)
+
+    keep = mask & (ids != PAD) & special_token_policy.permits(ids)
+    if not keep.any():
+        return vocab
+
+    rows, slot = np.unique(ids[keep], return_inverse=True)
+    sums = np.zeros((rows.size, vocab.dim))
+    np.add.at(sums, slot, slices[keep])
+    means = sums / np.bincount(slot)[:, None]
+    # each row is a one-token sequence to the ball projection
+    vocab.table[rows] = project_frobenius(means[:, None, :], epsilon)[:, 0]
+    vocab.meta["steps_seen"] = vocab.meta.get("steps_seen", 0) + 1
+    return vocab
 
 
 def scaling_index(eta: np.ndarray, mask: np.ndarray) -> np.ndarray:

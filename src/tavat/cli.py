@@ -6,12 +6,13 @@ The default output root comes from TAVAT_OUT_DIR when set.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from pathlib import Path
 
 from .data import build_dataset, encode_examples, make_batches
-from .model import CheckpointFormatError, load_checkpoint, save_checkpoint
+from .model import CheckpointFormatError, ConfigError, load_checkpoint, save_checkpoint
 from .train import (OPTIMIZERS, TrainConfig, config_from_dict, evaluate,
                     format_ablation_table, run_ablation, train)
 from .vocab import VocabularyFormatError, apply_to_embedding, load_vocabulary
@@ -98,12 +99,13 @@ def main(argv=None) -> int:
                 # a field no config has, as in a file older than its removal, or a refused value
                 refuse(f"{args.config}: {exc}" if args.config else exc)
         return _run(args, config)
-    except (CheckpointFormatError, VocabularyFormatError) as exc:
-        # a file that is not what its flag names, or not one for this run; the message names it
+    except (CheckpointFormatError, VocabularyFormatError, ConfigError) as exc:
+        # a file that is not what its flag names or not one for this run, or config
+        # values that pass alone but not together; the message names which
         refuse(exc)
     except FileNotFoundError as exc:
         # only a path the command was given; any other missing file is a fault
-        given = {getattr(args, name, None) for name in ("config", "checkpoint", "vocab")}
+        given = {getattr(args, name, None) for name in ("config", "checkpoint", "vocab", "out")}
         if config is not None:
             given.add(config.init_embedding_from_vocab)
         if exc.filename is None or exc.filename not in given:
@@ -130,6 +132,8 @@ def _run(args, config: TrainConfig | None) -> int:
                 f"{args.checkpoint}: vocab_size {model.config.vocab_size} != dataset tokenizer "
                 f"{tokenizer.vocab_size}: the checkpoint was trained on another vocabulary")
         examples = {"train": train_ex, "dev": dev_ex, "test": test_ex}[args.split]
+        if not examples:
+            raise ConfigError(f"the {args.split} split of the dataset is empty")
         batches = make_batches(encode_examples(tokenizer, examples, config.max_len),
                                config.batch_size)
         metrics = evaluate(model, batches)
@@ -147,6 +151,8 @@ def _run(args, config: TrainConfig | None) -> int:
         return 0
 
     if args.command == "export-vocab":
+        if not Path(args.out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", args.out)
         model = load_checkpoint(args.checkpoint)
         learned = load_vocabulary(args.vocab, expect_dim=model.config.dim)
         model.set_embedding(apply_to_embedding(
@@ -154,8 +160,6 @@ def _run(args, config: TrainConfig | None) -> int:
         save_checkpoint(model, args.out)
         print(f"embedding updated with perturbation vocabulary: {args.out}")
         return 0
-
-    return 1
 
 
 if __name__ == "__main__":

@@ -70,15 +70,14 @@ class Example:
 
 @dataclass
 class Batch:
-    """Padded id matrix with its mask; mask is true exactly off-padding."""
+    """Padded id matrix with its mask, which is true exactly off-padding."""
 
     token_ids: np.ndarray              # (batch, length) int64
-    mask: np.ndarray                   # (batch, length) bool
+    mask: np.ndarray = field(init=False)   # (batch, length) bool
     labels: np.ndarray                 # (batch,) or (batch, length) int64
 
     def __post_init__(self):
-        if not (self.mask == (self.token_ids != PAD)).all():
-            raise ValueError("mask must be true exactly where token_id != pad")
+        self.mask = self.token_ids != PAD
         if not self.mask.any(axis=1).all():
             raise ValueError("every example needs at least one real token")
 
@@ -308,7 +307,7 @@ def make_batches(encoded, batch_size: int, seed: int | None = None,
             labels = _padded([ex.tags for ex in chunk], width, 0)
         else:
             labels = np.array([ex.label for ex in chunk], dtype=np.int64)
-        batches.append(Batch(token_ids=ids, mask=ids != PAD, labels=labels))
+        batches.append(Batch(token_ids=ids, labels=labels))
     return batches
 
 

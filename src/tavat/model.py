@@ -29,21 +29,25 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+class ConfigError(ValueError):
+    """A configuration value, or a combination of them, that a run refuses."""
+
+
 def _check_ints(config, least_by_name) -> None:
-    """Raise ValueError unless each named field is an integer no less than its bound."""
+    """Raise ConfigError unless each named field is an integer no less than its bound."""
     for name, least in least_by_name:
         value = getattr(config, name)
         if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+            raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 def _check_bools(config, names) -> None:
-    """Raise ValueError unless each named field is True or False."""
+    """Raise ConfigError unless each named field is True or False."""
     for name in names:
         if not isinstance(getattr(config, name), bool):
-            raise ValueError(f"{name} must be true or false, got {getattr(config, name)!r}")
+            raise ConfigError(f"{name} must be true or false, got {getattr(config, name)!r}")
 
 
 @dataclass

@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .adv import AdvConfig, SpecialTokenPolicy, example_norms, tavat_batch_step
+from .adv import (AdvConfig, SpecialTokenPolicy, example_norms, init_vocabulary,
+                  tavat_batch_step)
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
-                   label_histogram, make_batches, span_f1)
-from .model import ModelConfig, TextModel, _check_ints, _is_real, save_checkpoint
+                   label_histogram, make_batches, span_f1, tagging_tag_names)
+from .model import (ConfigError, ModelConfig, TextModel, _check_ints, _is_real,
+                    save_checkpoint)
 from .tensor import RowGradient, Tensor
-from .vocab import (apply_to_embedding, init_vocabulary, load_vocabulary,
-                    save_vocabulary)
+from .vocab import apply_to_embedding, load_vocabulary, save_vocabulary
 
 METRICS_SCHEMA = 1
 
@@ -271,18 +272,18 @@ def train(config: TrainConfig) -> TrainResult:
     _pin_allocator()
     tokenizer, train_ex, dev_ex, _ = build_dataset(cfg.dataset, seed=cfg.seeds.data)
     if cfg.epochs and not train_ex:
-        raise ValueError(f"the training split is empty: {cfg.epochs} epochs would run no step")
+        raise ConfigError(f"the training split is empty: {cfg.epochs} epochs would run no step")
     fingerprint = tokenizer.fingerprint()
     tagging = cfg.dataset.source == "synthetic-tagging"
 
     model_cfg = cfg.model
     if model_cfg is None:
-        model_cfg = ModelConfig(vocab_size=tokenizer.vocab_size,
-                                classes=5 if tagging else cfg.dataset.classes,
+        classes = len(tagging_tag_names()) if tagging else cfg.dataset.classes
+        model_cfg = ModelConfig(vocab_size=tokenizer.vocab_size, classes=classes,
                                 head="tagging" if tagging else "classification",
                                 max_len=cfg.max_len)
     if model_cfg.vocab_size != tokenizer.vocab_size:
-        raise ValueError(
+        raise ConfigError(
             f"model vocab_size {model_cfg.vocab_size} != tokenizer {tokenizer.vocab_size}")
 
     rng_init = np.random.default_rng(cfg.seeds.init)

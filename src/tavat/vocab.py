@@ -1,21 +1,18 @@
 """Global accumulated perturbation table: one row per vocabulary token.
 
-Rows are written back from the final token-level perturbations of each
-batch (colliding occurrences are averaged so the result is independent
-of position order) and read out to initialize the next batch. The table
-persists to a small binary format and can be folded into an embedding
-table to warm-start ordinary fine-tuning.
+The table and its file format; ``adv`` draws it, reads each batch's
+initial token-level perturbations out of it and writes the final ones
+back, by the formulas of the other perturbations. It persists to a
+small binary format and can be folded into an embedding table to
+warm-start ordinary fine-tuning.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import container
-from .data import PAD
-from .tensor import _check_ids
 
 VOCAB_MAGIC = b"TAVV"
 VOCAB_VERSION = 1
@@ -41,60 +38,6 @@ class PerturbationVocabulary:
     @property
     def dim(self) -> int:
         return self.table.shape[1]
-
-
-def init_vocabulary(n: int, d: int, sigma: float, rng: np.random.Generator,
-                    meta: dict | None = None) -> PerturbationVocabulary:
-    """Uniform(-sigma, sigma)/sqrt(D) table with the padding row zeroed."""
-    if n <= 0 or d <= 0:
-        raise ValueError("vocabulary dimensions must be positive")
-    table = rng.uniform(-sigma, sigma, size=(n, d)) / math.sqrt(d)
-    table[PAD] = 0.0
-    full_meta = {"sigma": sigma, "steps_seen": 0}
-    if meta:
-        full_meta.update(meta)
-    return PerturbationVocabulary(table=table, meta=full_meta)
-
-
-def gather(vocab: PerturbationVocabulary, token_ids: np.ndarray,
-           mask: np.ndarray) -> np.ndarray:
-    """Per-position rows of the table; padded positions come back zero."""
-    ids = np.asarray(token_ids)
-    _check_ids("gather", ids, vocab.vocab_size)
-    out = vocab.table[ids]             # integer-array indexing copies
-    out[~np.asarray(mask, dtype=bool)] = 0.0
-    return out
-
-
-def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarray,
-            eta_final: np.ndarray, *, special_token_policy,
-            epsilon: float) -> PerturbationVocabulary:
-    """Write final perturbation slices back by token id.
-
-    Repeated ids within the batch are averaged; the padding row and any
-    policy-excluded ids are never touched. Row norms are clamped to
-    ``epsilon``.
-    """
-    ids = np.asarray(token_ids).reshape(-1)
-    _check_ids("scatter", ids, vocab.vocab_size)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    slices = np.asarray(eta_final).reshape(-1, vocab.dim)
-
-    keep = mask & (ids != PAD) & special_token_policy.permits(ids)
-    if not keep.any():
-        return vocab
-
-    rows, slot = np.unique(ids[keep], return_inverse=True)
-    sums = np.zeros((rows.size, vocab.dim))
-    np.add.at(sums, slot, slices[keep])
-    means = sums / np.bincount(slot)[:, None]
-
-    norms = np.sqrt((means ** 2).sum(axis=1, keepdims=True))
-    over = norms > epsilon * (1.0 + 1e-12)
-    means = np.where(over, means * (epsilon / np.maximum(norms, 1e-300)), means)
-    vocab.table[rows] = means
-    vocab.meta["steps_seen"] = vocab.meta.get("steps_seen", 0) + 1
-    return vocab
 
 
 def save_vocabulary(vocab: PerturbationVocabulary, path) -> None:

@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 
 from tavat import tensor as T
-from tavat.adv import (AdvConfig, SpecialTokenPolicy, init_delta, instance_step,
-                       project_frobenius, scaling_index, tavat_batch_step)
+from tavat.adv import (AdvConfig, SpecialTokenPolicy, gather, init_delta, init_vocabulary,
+                       instance_step, project_frobenius, scaling_index, scatter,
+                       tavat_batch_step)
 from tavat.data import (DatasetSpec, build_dataset, build_tokenizer,
                         encode_examples, make_batches)
 from tavat.model import ModelConfig, TextModel
 from tavat.tensor import Tensor, backward
 from tavat.train import (SGD, Seeds, TrainConfig, parse_metrics, run_ablation,
                          train)
-from tavat.vocab import (FingerprintMismatch, apply_to_embedding, gather,
-                         init_vocabulary, load_vocabulary, save_vocabulary,
-                         scatter)
+from tavat.vocab import (FingerprintMismatch, apply_to_embedding, load_vocabulary,
+                         save_vocabulary)
 from oracles import (OracleReport, ball_grid_points, finite_difference_gradient,
                      grid_inner_max, reference_freelb_step)
 from stepwatch import RecordingOptimizer, Trajectory

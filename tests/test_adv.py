@@ -7,14 +7,13 @@ import pytest
 
 from tavat import adv
 from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPolicy,
-                       example_norms, init_delta, instance_step, project_frobenius,
-                       scaling_index, tavat_batch_step, token_step)
+                       example_norms, init_delta, init_vocabulary, instance_step,
+                       project_frobenius, scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
 from tavat import tensor as T
 from tavat.tensor import RowGradient, backward
 from tavat.train import SGD, Adam, _step_record
-from tavat.vocab import init_vocabulary
 from oracles import reference_freelb_step, token_step_reference
 from stepwatch import RecordingOptimizer, Trajectory
 

@@ -16,12 +16,11 @@ import numpy as np
 
 import tavat.adv as adv
 import tavat.train as train_mod
-from tavat.adv import AdvConfig
+from tavat.adv import AdvConfig, init_vocabulary
 from tavat.cli import MODES
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ModelConfig, TextModel
 from tavat.train import SGD, Seeds, TrainConfig, parse_metrics
-from tavat.vocab import init_vocabulary
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

@@ -12,8 +12,8 @@ import pytest
 from tavat import container
 from tavat.model import (CheckpointFormatError, ModelConfig, TextModel, load_checkpoint,
                          save_checkpoint)
-from tavat.vocab import (VocabularyFormatError, init_vocabulary, load_vocabulary,
-                         save_vocabulary)
+from tavat.adv import init_vocabulary
+from tavat.vocab import VocabularyFormatError, load_vocabulary, save_vocabulary
 
 
 def tiny_model(seed):

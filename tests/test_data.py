@@ -269,13 +269,10 @@ class TestBatching:
         assert h.hexdigest() == digest
 
     def test_batch_invariants_enforced(self):
-        ids = np.array([[0, 0]])
-        with pytest.raises(ValueError):
-            Batch(token_ids=ids, mask=ids != PAD, labels=np.array([0]))
-        ids2 = np.array([[5, 0]])
-        with pytest.raises(ValueError, match="mask"):
-            Batch(token_ids=ids2, mask=np.array([[True, True]]),
-                  labels=np.array([0]))
+        with pytest.raises(ValueError, match="real token"):
+            Batch(token_ids=np.array([[5, 0], [0, 0]]), labels=np.array([0, 0]))
+        batch = Batch(token_ids=np.array([[5, 0]]), labels=np.array([0]))
+        assert batch.mask.tolist() == [[True, False]]
 
 
 class TestDatasetAssembly:

@@ -546,7 +546,7 @@ class TestRowGradient:
                                       use_positional=True), rng=np.random.default_rng(0))
         ids = np.array([[1, 2, 2, 0], [3, 1, 0, 0]])
         calls.clear()
-        model.predict(Batch(ids, ids != 0, np.array([0, 1])))
+        model.predict(Batch(ids, np.array([0, 1])))
         assert calls == []
 
     @pytest.mark.parametrize("expression", [lambda g: -1.0 * g, lambda g: math.inf * g,

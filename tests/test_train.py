@@ -9,7 +9,7 @@ import pytest
 
 import tavat.cli as cli_module
 import tavat.train as train_module
-from tavat.adv import AdvConfig
+from tavat.adv import AdvConfig, init_vocabulary
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import DatasetSpec, make_batches, Batch
 from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
@@ -17,6 +17,7 @@ from tavat.tensor import RowGradient, Tensor
 from tavat.train import (Adam, MetricsWriter, Seeds, TrainConfig, config_from_dict,
                          evaluate, format_ablation_table, parse_metrics, run_ablation,
                          train)
+from tavat.vocab import save_vocabulary
 from test_golden import load_workloads
 
 
@@ -299,7 +300,7 @@ class TestEvaluate:
         ids = np.full((10, 3), 5, dtype=np.int64)
         ids[:, 0] = 1
         labels = np.array([0] * 7 + [1] * 3)
-        batch = Batch(token_ids=ids, mask=ids != 0, labels=labels)
+        batch = Batch(token_ids=ids, labels=labels)
 
         class Constant:
             class config:
@@ -575,18 +576,53 @@ class TestCLI:
          "--out", "{out}"],
         ["export-vocab", "--checkpoint", "{checkpoint}", "--vocab", "{missing}",
          "--out", "{out}"],
+        ["export-vocab", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+         "--out", "{missing}"],
     ])
     def test_missing_file_exits_with_one_error_line(self, tmp_path, capsys, argv):
-        """A path a flag names that does not exist ends the command with one line
-        naming it, before anything is written."""
+        """A path a flag names that does not exist, or an output path in a directory
+        that does not, ends the command with one line naming it, before anything is
+        written."""
         config, path = self.write_config(tmp_path, run_name="missing")
         checkpoint = tmp_path / "model.bin"
         save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
+        vocab = tmp_path / "vocab.bin"
+        save_vocabulary(init_vocabulary(config.model.vocab_size, config.model.dim, 0.01,
+                                        np.random.default_rng(0)), vocab)
         missing = tmp_path / "absent" / "nope.bin"
-        argv = [a.format(config=path, checkpoint=checkpoint, missing=missing,
+        argv = [a.format(config=path, checkpoint=checkpoint, vocab=vocab, missing=missing,
                          out=tmp_path / "merged.bin") for a in argv]
         self.assert_refused(capsys, argv, f"{missing}: no such file")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "model.bin"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "model.bin", "vocab.bin"]
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("train", {"model": {"vocab_size": 40}}, "model vocab_size 40 != tokenizer 56"),
+        ("ablate", {"model": {"vocab_size": 40}}, "model vocab_size 40 != tokenizer 56"),
+        ("train", {"dataset": {"dev_fraction": 1.0}},
+         "the training split is empty: 1 epochs would run no step"),
+        ("evaluate", {}, "the test split of the dataset is empty"),
+        # table5's first arm turns the vocabulary on, which freelb refuses
+        ("ablate", {"adv": {"mode": "freelb", "use_vocab": False, "use_token_norm": False}},
+         "mode=freelb requires use_vocab=False and use_token_norm=False"),
+    ])
+    def test_values_the_run_cannot_take_exit_with_one_error_line(self, tmp_path, capsys,
+                                                                command, edit, message):
+        """Config values each valid alone that the dataset or the ablation grid
+        cannot take end the command with one line, before anything is written."""
+        config, path = self.write_config(tmp_path, run_name="unfit")
+        raw = config.to_dict()
+        for key, value in edit.items():
+            raw[key] = {**raw[key], **value}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        extra = []
+        if command == "evaluate":
+            checkpoint = tmp_path / "model.bin"
+            save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
+            extra = ["--checkpoint", str(checkpoint), "--split", "test"]
+        self.assert_refused(capsys, [command, "--config", str(path), *extra], message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["config.json", "model.bin"] if command == "evaluate" else ["config.json"])
 
     def test_an_internal_error_keeps_its_traceback(self, tmp_path, monkeypatch):
         """Only a file's own format errors become one line; an engine fault propagates."""

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from tavat.adv import SpecialTokenPolicy
+from tavat.adv import ConfigError, SpecialTokenPolicy, gather, init_vocabulary, scatter
 from tavat.vocab import (FingerprintMismatch, PerturbationVocabulary,
-                         VocabularyFormatError, apply_to_embedding, gather,
-                         init_vocabulary, load_vocabulary, save_vocabulary, scatter)
+                         VocabularyFormatError, apply_to_embedding, load_vocabulary,
+                         save_vocabulary)
 
 
 class TestInit:
@@ -37,6 +37,10 @@ class TestInit:
     def test_dimensions_validated(self):
         with pytest.raises(ValueError):
             init_vocabulary(0, 4, 0.1, np.random.default_rng(0))
+
+    def test_negative_sigma_refused_as_delta_refuses_it(self):
+        with pytest.raises(ConfigError, match="sigma must be non-negative"):
+            init_vocabulary(10, 4, -0.1, np.random.default_rng(0))
 
 
 class TestGather:
@@ -83,6 +87,13 @@ class TestScatter:
         eta = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
         scatter(self.vocab, ids, mask, eta, special_token_policy=EVERYONE, epsilon=10.0)
         np.testing.assert_array_equal(gather(self.vocab, ids, mask), eta)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0])
+    def test_non_positive_epsilon_refused_before_any_write(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon must be positive"):
+            scatter(self.vocab, np.array([[3]]), np.ones((1, 1), dtype=bool),
+                    np.ones((1, 1, 2)), special_token_policy=EVERYONE, epsilon=epsilon)
+        assert (self.vocab.table == 0.0).all() and self.vocab.meta["steps_seen"] == 0
 
     def test_collision_averaging(self):
         ids = np.array([[5, 5]])
