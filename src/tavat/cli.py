@@ -2,18 +2,24 @@
 
 Flags override config-file values, which override built-in defaults.
 The default output root comes from TAVAT_OUT_DIR when set.
+
+Exit status 0 is a finished command. Exit status 2, with one error line,
+is refused input: a config value or a pair of them the run cannot take,
+a path that does not exist, or a file that is not what it should be
+(argparse's own usage errors exit 2 too). An engine fault keeps its
+traceback and exits 1.
 """
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import sys
 from pathlib import Path
 
-from .data import build_dataset, encode_examples, make_batches
-from .model import CheckpointFormatError, ConfigError, load_checkpoint, save_checkpoint
-from .train import (OPTIMIZERS, TrainConfig, config_from_dict, evaluate,
+from .data import DatasetFormatError, build_dataset, encode_examples, make_batches
+from .model import (CheckpointFormatError, ConfigError, load_checkpoint, require_file,
+                    save_checkpoint)
+from .train import (OPTIMIZERS, TrainConfig, check_head, config_from_dict, evaluate,
                     format_ablation_table, run_ablation, train)
 from .vocab import VocabularyFormatError, apply_to_embedding, load_vocabulary
 
@@ -30,17 +36,23 @@ MODES = {
 
 
 def _load_config(args) -> TrainConfig:
-    raw = {}
+    """The command's config; anything that refuses building it is a ConfigError."""
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",
-                 "init_embedding_from_vocab"):
-        value = getattr(args, name, None)
-        if value is not None:
-            raw[name] = value
-    if getattr(args, "mode", None):
-        raw["adv"] = {**raw.get("adv", {}), **MODES[args.mode]}
-    return config_from_dict(raw)
+        require_file(args.config)
+    try:
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+        for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",
+                     "init_embedding_from_vocab"):
+            value = getattr(args, name, None)
+            if value is not None:
+                raw[name] = value
+        if getattr(args, "mode", None):
+            raw["adv"] = {**raw.get("adv", {}), **MODES[args.mode]}
+        return config_from_dict(raw)
+    except (TypeError, ValueError) as exc:
+        # a field no config has, as in a file older than its removal, a file that
+        # is not JSON, or a refused value
+        raise ConfigError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -85,32 +97,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    command = commands[args.command]
-
-    def refuse(message) -> None:
-        command.exit(2, f"{command.prog}: error: {message}\n")
-
-    config = None
     try:
-        if args.command != "export-vocab":
-            try:
-                config = _load_config(args)
-            except (TypeError, ValueError) as exc:
-                # a field no config has, as in a file older than its removal, or a refused value
-                refuse(f"{args.config}: {exc}" if args.config else exc)
-        return _run(args, config)
-    except (CheckpointFormatError, VocabularyFormatError, ConfigError) as exc:
-        # a file that is not what its flag names or not one for this run, or config
-        # values that pass alone but not together; the message names which
-        refuse(exc)
-    except FileNotFoundError as exc:
-        # only a path the command was given; any other missing file is a fault
-        given = {getattr(args, name, None) for name in ("config", "checkpoint", "vocab", "out")}
-        if config is not None:
-            given.add(config.init_embedding_from_vocab)
-        if exc.filename is None or exc.filename not in given:
-            raise
-        refuse(f"{exc.filename}: no such file")
+        return _run(args, None if args.command == "export-vocab" else _load_config(args))
+    except (ConfigError, CheckpointFormatError, VocabularyFormatError, DatasetFormatError) as exc:
+        # refused input; the message names the value, the pair or the file
+        command = commands[args.command]
+        command.exit(2, f"{command.prog}: error: {exc}\n")
 
 
 def _run(args, config: TrainConfig | None) -> int:
@@ -124,6 +116,7 @@ def _run(args, config: TrainConfig | None) -> int:
         return 0
 
     if args.command == "evaluate":
+        require_file(args.checkpoint)
         model = load_checkpoint(args.checkpoint)
         tokenizer, train_ex, dev_ex, test_ex = build_dataset(
             config.dataset, seed=config.seeds.data)
@@ -131,6 +124,7 @@ def _run(args, config: TrainConfig | None) -> int:
             raise CheckpointFormatError(
                 f"{args.checkpoint}: vocab_size {model.config.vocab_size} != dataset tokenizer "
                 f"{tokenizer.vocab_size}: the checkpoint was trained on another vocabulary")
+        check_head(model.config.head, config.dataset, CheckpointFormatError, args.checkpoint)
         examples = {"train": train_ex, "dev": dev_ex, "test": test_ex}[args.split]
         if not examples:
             raise ConfigError(f"the {args.split} split of the dataset is empty")
@@ -151,8 +145,9 @@ def _run(args, config: TrainConfig | None) -> int:
         return 0
 
     if args.command == "export-vocab":
-        if not Path(args.out).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, "no such directory", args.out)
+        require_file(args.out, parent=True)
+        require_file(args.checkpoint)
+        require_file(args.vocab)
         model = load_checkpoint(args.checkpoint)
         learned = load_vocabulary(args.vocab, expect_dim=model.config.dim)
         model.set_embedding(apply_to_embedding(

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import _check_bools, _check_ints, _is_real
+from .model import ConfigError, _check_bools, _check_ints, _is_real, require_file
 
 PAD, CLS, SEP, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<cls>", "<sep>", "<unk>")
@@ -229,14 +229,19 @@ def span_f1(gold_seqs, pred_seqs) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # file ingestion
 
+class DatasetFormatError(ValueError):
+    """Delimited file with a malformed row, a missing column or no words."""
+
+
 def _column(path, header: list[str] | None, column: int | str) -> int:
     """A column_map entry as a row index; names are looked up in the header."""
     if not isinstance(column, str):
         return column
     if header is None:
-        raise ValueError(f"{path}: column {column!r} is named but the file has no header")
+        raise DatasetFormatError(
+            f"{path}: column {column!r} is named but the file has no header")
     if column not in header:
-        raise ValueError(f"{path}: header {header!r} has no column {column!r}")
+        raise DatasetFormatError(f"{path}: header {header!r} has no column {column!r}")
     return header.index(column)
 
 
@@ -245,7 +250,8 @@ def load_delimited(path, column_map: dict[str, int | str], delimiter: str = "\t"
     """UTF-8 delimited rows -> examples; malformed rows report line numbers.
 
     ``column_map`` gives the text and label columns by index, or by name
-    when the first line is a header. Labels are integers.
+    when the first line is a header. Labels are integers. A file that
+    fails any of this, or holds no word, raises DatasetFormatError.
     """
     examples = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -259,12 +265,15 @@ def load_delimited(path, column_map: dict[str, int | str], delimiter: str = "\t"
             try:
                 text, raw_label = row[tc], row[lc]
             except IndexError:
-                raise ValueError(f"{path}:{lineno}: missing required columns in {row!r}")
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: missing required columns in {row!r}")
             try:
                 label = int(raw_label)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unknown label {raw_label!r}")
+                raise DatasetFormatError(f"{path}:{lineno}: unknown label {raw_label!r}")
             examples.append(Example(tokens=text.split(), label=label))
+    if not any(ex.tokens for ex in examples):
+        raise DatasetFormatError(f"{path}: no example with any words")
     return examples
 
 
@@ -352,18 +361,18 @@ class DatasetSpec:
         _check_ints(self, (("n", 1), ("classes", 2), ("split_seed", 0)))
         _check_bools(self, ("has_header",))
         if self.source not in ("synthetic-classification", "synthetic-tagging", "delimited"):
-            raise ValueError(f"unknown dataset source {self.source!r}")
+            raise ConfigError(f"unknown dataset source {self.source!r}")
         if self.source == "delimited" and self.path is None:
-            raise ValueError("delimited source needs a path")
+            raise ConfigError("delimited source needs a path")
         if not _is_real(self.noise) or not 0.0 <= self.noise < 0.5:
-            raise ValueError(f"noise must be a number in [0, 0.5), got {self.noise!r}")
+            raise ConfigError(f"noise must be a number in [0, 0.5), got {self.noise!r}")
         for name in ("dev_fraction", "test_fraction"):
             value = getattr(self, name)
             if not _is_real(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
         if self.dev_fraction + self.test_fraction > 1.0:
-            raise ValueError(f"dev_fraction {self.dev_fraction} and test_fraction "
-                             f"{self.test_fraction} add up to more than 1")
+            raise ConfigError(f"dev_fraction {self.dev_fraction} and test_fraction "
+                              f"{self.test_fraction} add up to more than 1")
 
 
 def build_dataset(spec: DatasetSpec, seed: int):
@@ -375,7 +384,8 @@ def build_dataset(spec: DatasetSpec, seed: int):
     elif spec.source == "synthetic-tagging":
         examples = generate_synthetic_tagging(spec.n, seed=seed)
         vocab = tagging_vocabulary()
-    else:   # "delimited"; DatasetSpec refuses any other source and a missing path
+    else:   # "delimited"; DatasetSpec refuses any other source and no path
+        require_file(spec.path)
         examples = load_delimited(spec.path, spec.column_map,
                                   delimiter=spec.delimiter, has_header=spec.has_header)
         vocab = sorted({t for ex in examples for t in ex.tokens})

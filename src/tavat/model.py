@@ -13,6 +13,7 @@ import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,12 @@ def _is_real(value) -> bool:
 
 class ConfigError(ValueError):
     """A configuration value, or a combination of them, that a run refuses."""
+
+
+def require_file(path, parent: bool = False) -> None:
+    """Raise ConfigError unless ``path`` is a file or, with ``parent``, its directory exists."""
+    if not (Path(path).parent.is_dir() if parent else Path(path).is_file()):
+        raise ConfigError(f"{path}: no such file")
 
 
 def _check_ints(config, least_by_name) -> None:
@@ -69,9 +76,9 @@ class ModelConfig:
                            ("ffn_dim", 1), ("max_len", 1), ("classes", 1)))
         _check_bools(self, ("use_positional",))
         if self.head not in ("classification", "tagging"):
-            raise ValueError(f"unknown head kind {self.head!r}")
+            raise ConfigError(f"unknown head kind {self.head!r}")
         if self.dim % self.heads:
-            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
+            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
 
 
 MASK_FILL_VALUE = -1e9

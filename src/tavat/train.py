@@ -17,6 +17,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .adv import (AdvConfig, SpecialTokenPolicy, example_norms, init_vocabulary,
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1, tagging_tag_names)
 from .model import (ConfigError, ModelConfig, TextModel, _check_ints, _is_real,
-                    save_checkpoint)
+                    require_file, save_checkpoint)
 from .tensor import RowGradient, Tensor
 from .vocab import apply_to_embedding, load_vocabulary, save_vocabulary
 
@@ -128,9 +129,9 @@ class TrainConfig:
     def __post_init__(self):
         _check_ints(self, (("epochs", 0), ("batch_size", 1), ("max_len", 2)))
         if not _is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
-            raise ValueError(f"lr must be a finite positive number, got {self.lr!r}")
+            raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer kind {self.optimizer!r}")
+            raise ConfigError(f"unknown optimizer kind {self.optimizer!r}")
 
     def resolved_out_dir(self) -> Path:
         root = self.out_dir or os.environ.get("TAVAT_OUT_DIR", "runs")
@@ -201,6 +202,14 @@ class TrainResult:
     vocab_path: Path | None             # None when the run has no vocabulary
     metrics_path: Path
     tokenizer_fingerprint: str
+
+
+def check_head(head: str, spec: DatasetSpec, error: type[ValueError], where: str) -> None:
+    """Raise ``error`` naming ``where`` unless ``head`` is the one the dataset's task needs."""
+    needed = "tagging" if spec.source == "synthetic-tagging" else "classification"
+    if head != needed:
+        raise error(f"{where}: a {head} head cannot take {spec.source} data, "
+                    f"which needs a {needed} head")
 
 
 def _dev_metric(model: TextModel, batches) -> float:
@@ -275,6 +284,7 @@ def train(config: TrainConfig) -> TrainResult:
         raise ConfigError(f"the training split is empty: {cfg.epochs} epochs would run no step")
     fingerprint = tokenizer.fingerprint()
     tagging = cfg.dataset.source == "synthetic-tagging"
+    histogram = label_histogram(train_ex)
 
     model_cfg = cfg.model
     if model_cfg is None:
@@ -285,12 +295,19 @@ def train(config: TrainConfig) -> TrainResult:
     if model_cfg.vocab_size != tokenizer.vocab_size:
         raise ConfigError(
             f"model vocab_size {model_cfg.vocab_size} != tokenizer {tokenizer.vocab_size}")
+    check_head(model_cfg.head, cfg.dataset, ConfigError, "model")
+    # any BIO tag id may occur in a tagging set
+    labels = range(len(tagging_tag_names())) if tagging else histogram
+    if labels and (min(labels) < 0 or max(labels) >= model_cfg.classes):
+        raise ConfigError(f"training labels {min(labels)}..{max(labels)} do not fit "
+                          f"model classes {model_cfg.classes}")
 
     rng_init = np.random.default_rng(cfg.seeds.init)
     rng_adv = np.random.default_rng(cfg.seeds.adversarial)
     model = TextModel(model_cfg, rng=rng_init)
 
     if cfg.init_embedding_from_vocab:
+        require_file(cfg.init_embedding_from_vocab)
         learned = load_vocabulary(cfg.init_embedding_from_vocab,
                                   expect_dim=model_cfg.dim,
                                   expect_fingerprint=fingerprint)
@@ -307,6 +324,11 @@ def train(config: TrainConfig) -> TrainResult:
     optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     encoded_train = encode_examples(tokenizer, train_ex, cfg.max_len)
     encoded_dev = encode_examples(tokenizer, dev_ex, cfg.max_len)
+    if model_cfg.use_positional:
+        longest = max((len(ex.ids) for ex in chain(encoded_train, encoded_dev)), default=0)
+        if longest > model_cfg.max_len:
+            raise ConfigError(f"model max_len {model_cfg.max_len} is shorter than the "
+                              f"longest encoded sequence, {longest} ids")
     dev_batches = make_batches(encoded_dev, cfg.batch_size) if encoded_dev else []
 
     out_dir = cfg.resolved_out_dir()
@@ -320,8 +342,7 @@ def train(config: TrainConfig) -> TrainResult:
     started = time.time()
     writer.emit({"kind": "config", "config": cfg.to_dict(),
                  "train_examples": len(train_ex),
-                 "label_histogram": {str(k): v for k, v in
-                                     sorted(label_histogram(train_ex).items())},
+                 "label_histogram": {str(k): v for k, v in sorted(histogram.items())},
                  "tokenizer_fingerprint": fingerprint})
     try:
         dev_metric = None

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from tavat.data import (CLS, CUES_PER_CLASS, FILLER_COUNT, PAD, SEP, UNK, Batch,
-                        DatasetSpec, build_dataset, build_tokenizer, encode_examples,
-                        generate_synthetic_classification, generate_synthetic_tagging,
-                        label_histogram, load_delimited, make_batches, span_f1,
-                        spans_from_tags, synthetic_vocabulary, tagging_tag_names,
-                        tagging_vocabulary)
+                        DatasetFormatError, DatasetSpec, build_dataset, build_tokenizer,
+                        encode_examples, generate_synthetic_classification,
+                        generate_synthetic_tagging, label_histogram, load_delimited,
+                        make_batches, span_f1, spans_from_tags, synthetic_vocabulary,
+                        tagging_tag_names, tagging_vocabulary)
 from oracles import cue_majority_oracle
 
 
@@ -187,25 +187,26 @@ class TestDelimited:
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("good text\t0\nonly-one-column\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bad.tsv:2"):
+        with pytest.raises(DatasetFormatError, match="bad.tsv:2"):
             load_delimited(path, {"text": 0, "label": 1})
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("some text\tmaybe\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown label"):
+        with pytest.raises(DatasetFormatError, match="unknown label"):
             load_delimited(path, {"text": 0, "label": 1})
 
     def test_named_column_without_header_rejected(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("hello world\t0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="column 'text' is named but the file has no header"):
+        with pytest.raises(DatasetFormatError,
+                           match="column 'text' is named but the file has no header"):
             load_delimited(path, {"text": "text", "label": 1})
 
     def test_header_without_named_column_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("text,target\nhello world,0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="has no column 'label'"):
+        with pytest.raises(DatasetFormatError, match="has no column 'label'"):
             load_delimited(path, {"text": "text", "label": "label"},
                            delimiter=",", has_header=True)
 

@@ -12,7 +12,7 @@ import tavat.train as train_module
 from tavat.adv import AdvConfig, init_vocabulary
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import DatasetSpec, make_batches, Batch
-from tavat.model import ModelConfig, TextModel, load_checkpoint, save_checkpoint
+from tavat.model import ConfigError, ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from tavat.tensor import RowGradient, Tensor
 from tavat.train import (Adam, MetricsWriter, Seeds, TrainConfig, config_from_dict,
                          evaluate, format_ablation_table, parse_metrics, run_ablation,
@@ -34,6 +34,11 @@ def quick_config(tmp_path, run_name="run", **adv_overrides):
         lr=0.05, epochs=1, batch_size=16, max_len=24,
         out_dir=str(tmp_path), run_name=run_name,
     )
+
+
+# dataset edits; the synthetic tagging tokenizer has 54 ids, and 3 synthetic classes give 62
+TAGGING = {"source": "synthetic-tagging"}
+DELIMITED = {"source": "delimited", "path": None}   # the path of the test's file
 
 
 def strip_time(records):
@@ -463,9 +468,10 @@ class TestConfigSerialization:
         ({"dataset": {"noise": "0.1"}}, "noise must be a number in [0, 0.5), got '0.1'"),
         ({"dataset": {"source": "bogus"}}, "unknown dataset source 'bogus'"),
         ({"dataset": {"source": "delimited"}}, "delimited source needs a path"),
+        ({"model": {"vocab_size": 20, "head": "pooled"}}, "unknown head kind 'pooled'"),
     ])
     def test_run_shape_checked_at_construction(self, raw, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(raw)
 
     def test_train_checks_a_config_edited_after_construction(self, tmp_path):
@@ -578,11 +584,14 @@ class TestCLI:
          "--out", "{out}"],
         ["export-vocab", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
          "--out", "{missing}"],
+        ["train", "--config", "{delimited}"],
+        ["ablate", "--config", "{delimited}"],
+        ["evaluate", "--checkpoint", "{checkpoint}", "--config", "{delimited}"],
     ])
     def test_missing_file_exits_with_one_error_line(self, tmp_path, capsys, argv):
-        """A path a flag names that does not exist, or an output path in a directory
-        that does not, ends the command with one line naming it, before anything is
-        written."""
+        """A path a flag or a config's ``dataset.path`` names that does not exist, or an
+        output path in a directory that does not, ends the command with one line naming
+        it, before anything is written."""
         config, path = self.write_config(tmp_path, run_name="missing")
         checkpoint = tmp_path / "model.bin"
         save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
@@ -590,39 +599,90 @@ class TestCLI:
         save_vocabulary(init_vocabulary(config.model.vocab_size, config.model.dim, 0.01,
                                         np.random.default_rng(0)), vocab)
         missing = tmp_path / "absent" / "nope.bin"
+        # a config whose delimited dataset.path is the missing one
+        delimited = tmp_path / "delimited.json"
+        raw = config.to_dict()
+        raw["dataset"].update(source="delimited", path=str(missing))
+        delimited.write_text(json.dumps(raw), encoding="utf-8")
         argv = [a.format(config=path, checkpoint=checkpoint, vocab=vocab, missing=missing,
-                         out=tmp_path / "merged.bin") for a in argv]
+                         out=tmp_path / "merged.bin", delimited=delimited) for a in argv]
         self.assert_refused(capsys, argv, f"{missing}: no such file")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "model.bin", "vocab.bin"]
+            "config.json", "delimited.json", "model.bin", "vocab.bin"]
 
-    @pytest.mark.parametrize("command, edit, message", [
-        ("train", {"model": {"vocab_size": 40}}, "model vocab_size 40 != tokenizer 56"),
-        ("ablate", {"model": {"vocab_size": 40}}, "model vocab_size 40 != tokenizer 56"),
-        ("train", {"dataset": {"dev_fraction": 1.0}},
+    @pytest.mark.parametrize("command, edit, rows, message", [
+        ("train", {"model": {"vocab_size": 40}}, None, "model vocab_size 40 != tokenizer 56"),
+        ("ablate", {"model": {"vocab_size": 40}}, None, "model vocab_size 40 != tokenizer 56"),
+        ("train", {"dataset": {"dev_fraction": 1.0}}, None,
          "the training split is empty: 1 epochs would run no step"),
-        ("evaluate", {}, "the test split of the dataset is empty"),
+        ("evaluate", {}, None, "the test split of the dataset is empty"),
         # table5's first arm turns the vocabulary on, which freelb refuses
         ("ablate", {"adv": {"mode": "freelb", "use_vocab": False, "use_token_norm": False}},
-         "mode=freelb requires use_vocab=False and use_token_norm=False"),
+         None, "mode=freelb requires use_vocab=False and use_token_norm=False"),
+        *[(command, edit, None, message) for command in ("train", "ablate")
+          for edit, message in [
+              ({"dataset": TAGGING, "model": {"vocab_size": 54}},
+               "model: a classification head cannot take synthetic-tagging data, which "
+               "needs a tagging head"),
+              ({"model": {"head": "tagging"}},
+               "model: a tagging head cannot take synthetic-classification data, which "
+               "needs a classification head"),
+              ({"dataset": {"classes": 3}, "model": {"vocab_size": 62}},
+               "training labels 0..2 do not fit model classes 2"),
+              ({"dataset": TAGGING, "model": {"vocab_size": 54, "head": "tagging",
+                                              "classes": 3}},
+               "training labels 0..4 do not fit model classes 3"),
+              ({"dataset": TAGGING, "model": {"vocab_size": 54, "head": "tagging",
+                                              "classes": 5, "use_positional": True,
+                                              "max_len": 12}},
+               "model max_len 12 is shorter than the longest encoded sequence, 16 ids"),
+          ]],
+        ("evaluate", {"dataset": {**TAGGING, "test_fraction": 0.25},
+                      "model": {"vocab_size": 54}}, None,
+         "{checkpoint}: a classification head cannot take synthetic-tagging data, which "
+         "needs a tagging head"),
+        ("evaluate", {"dataset": {"test_fraction": 0.25},
+                      "model": {"head": "tagging", "classes": 5}}, None,
+         "{checkpoint}: a tagging head cannot take synthetic-classification data, which "
+         "needs a classification head"),
+        ("train", {"dataset": DELIMITED, "model": None}, "a b\t0\nc d\t2\ne f\t1\ng h\t0\n",
+         "training labels 0..2 do not fit model classes 2"),
+        ("train", {"dataset": DELIMITED}, "some text\tmaybe\n",
+         "{data}:1: unknown label 'maybe'"),
+        ("train", {"dataset": DELIMITED}, "good text\t0\nonly-one-column\n",
+         "{data}:2: missing required columns in ['only-one-column']"),
+        ("train", {"dataset": {**DELIMITED, "has_header": True,
+                               "column_map": {"text": "text", "label": "label"}}},
+         "text\ttarget\nhello world\t0\n",
+         "{data}: header ['text', 'target'] has no column 'label'"),
+        ("train", {"dataset": DELIMITED}, "", "{data}: no example with any words"),
+        ("evaluate", {"dataset": DELIMITED}, "\n\n", "{data}: no example with any words"),
     ])
     def test_values_the_run_cannot_take_exit_with_one_error_line(self, tmp_path, capsys,
-                                                                command, edit, message):
-        """Config values each valid alone that the dataset or the ablation grid
-        cannot take end the command with one line, before anything is written."""
+                                                                command, edit, rows, message):
+        """Config values each valid alone that the dataset, the model or the ablation
+        grid cannot take, and a delimited file (``rows``) that is not one, end the
+        command with one line, before anything is written."""
         config, path = self.write_config(tmp_path, run_name="unfit")
+        data = tmp_path / "data.tsv"
         raw = config.to_dict()
         for key, value in edit.items():
-            raw[key] = {**raw[key], **value}
+            raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+        if rows is not None:
+            data.write_text(rows, encoding="utf-8")
+            raw["dataset"]["path"] = str(data)
         path.write_text(json.dumps(raw), encoding="utf-8")
         extra = []
         if command == "evaluate":
             checkpoint = tmp_path / "model.bin"
-            save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
+            save_checkpoint(TextModel(ModelConfig(**raw["model"]),
+                                      rng=np.random.default_rng(0)), checkpoint)
             extra = ["--checkpoint", str(checkpoint), "--split", "test"]
-        self.assert_refused(capsys, [command, "--config", str(path), *extra], message)
-        assert sorted(p.name for p in tmp_path.iterdir()) == (
-            ["config.json", "model.bin"] if command == "evaluate" else ["config.json"])
+        self.assert_refused(capsys, [command, "--config", str(path), *extra],
+                            message.format(data=data, checkpoint=tmp_path / "model.bin"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json"] + (["model.bin"] if command == "evaluate" else [])
+            + (["data.tsv"] if rows is not None else []))
 
     def test_an_internal_error_keeps_its_traceback(self, tmp_path, monkeypatch):
         """Only a file's own format errors become one line; an engine fault propagates."""
