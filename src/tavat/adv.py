@@ -10,9 +10,9 @@ PGD and the single-perturbation accumulate-K baseline fall out of the
 same loop as configuration reductions.
 
 All update arithmetic here is plain float64 ndarray math; gradients
-come from one tape replay per inner step, which yields the parameter,
-instance, and token gradients simultaneously at the same evaluation
-point.
+come from one tape replay per inner step, which yields the parameter
+gradients and the one perturbation gradient, which both perturbations
+step on, at the same evaluation point.
 """
 from __future__ import annotations
 
@@ -137,9 +137,10 @@ class StepReport:
     eta: np.ndarray | None
 
 
-def example_norms(p: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each sequence, over the trailing (length, dim) axes."""
-    return np.sqrt(np.sum(p * p, axis=(-2, -1)))
+def example_norms(p: np.ndarray, axis=(-2, -1), keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm along ``axis``: by default each sequence's Frobenius
+    norm, over the trailing (length, dim) axes."""
+    return np.sqrt(np.sum(p * p, axis=axis, keepdims=keepdims))
 
 
 def init_delta(shape, sigma: float, mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -161,7 +162,7 @@ def project_frobenius(p: np.ndarray, epsilon: float) -> np.ndarray:
     """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    norms = example_norms(p)[..., None, None]
+    norms = example_norms(p, keepdims=True)
     outside = norms > epsilon * (1.0 + PROJECT_SLACK)
     if not outside.any():
         return p
@@ -226,7 +227,7 @@ def scaling_index(eta: np.ndarray, mask: np.ndarray) -> np.ndarray:
     the rescale.
     """
     mask = np.asarray(mask, dtype=bool)
-    norms = np.sqrt(np.sum(eta * eta, axis=-1))
+    norms = example_norms(eta, axis=-1)
     peak = np.max(np.where(mask, norms, 0.0), axis=-1, keepdims=True)
     n = np.where(peak < NORM_FLOOR, 1.0, norms / np.maximum(peak, NORM_FLOOR))
     return np.where(mask, n, 0.0)
@@ -239,16 +240,22 @@ def _check_finite(what: str, arr: np.ndarray) -> None:
         raise NonFiniteGradient(f"{what} has {bad} non-finite entries; aborting")
 
 
-def _normalized_ascent(grad: np.ndarray, mask: np.ndarray, alpha: float, axis) -> np.ndarray:
-    """alpha times the unpadded gradient over its norm along ``axis``; 0 below the floor."""
+def _ascend(p: np.ndarray, grad: np.ndarray, alpha: float, epsilon: float,
+            mask: np.ndarray, per_token: bool, what: str) -> np.ndarray:
+    """One normalized ascent step, then the ball projection with padded rows zero.
+
+    The unpadded gradient is normalized per token and the result rescaled
+    by the scaling index of the pre-step ``p`` when ``per_token``, else
+    normalized over the whole sequence; a norm below the floor gives no step.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    _check_finite(what, grad)
     g = np.where(mask[:, :, None], grad, 0.0)
-    gnorm = np.sqrt(np.sum(g * g, axis=axis, keepdims=True))
-    return np.where(gnorm >= NORM_FLOOR, alpha * g / np.maximum(gnorm, NORM_FLOOR), 0.0)
-
-
-def _project_unpadded(p: np.ndarray, epsilon: float, mask: np.ndarray) -> np.ndarray:
-    """Ball projection per sequence, then padded rows set to exactly zero."""
-    out = project_frobenius(p, epsilon)
+    gnorm = example_norms(g, axis=-1 if per_token else (-2, -1), keepdims=True)
+    new = p + np.where(gnorm >= NORM_FLOOR, alpha * g / np.maximum(gnorm, NORM_FLOOR), 0.0)
+    if per_token:
+        new = scaling_index(p, mask)[:, :, None] * new
+    out = project_frobenius(new, epsilon)
     out[~mask] = 0.0
     return out
 
@@ -262,24 +269,15 @@ def token_step(eta: np.ndarray, grad_eta: np.ndarray, alpha: float, epsilon: flo
     projection. With use_token_norm off the gradient is normalized over
     the whole sequence and no rescale happens.
     """
-    mask = np.asarray(mask, dtype=bool)
-    _check_finite(f"grad_eta at inner step {_step}", grad_eta)
-    if use_token_norm:
-        ascended = eta + _normalized_ascent(grad_eta, mask, alpha, -1)
-        n = scaling_index(eta, mask)
-        new = n[:, :, None] * ascended
-    else:
-        new = eta + _normalized_ascent(grad_eta, mask, alpha, (-2, -1))
-    return _project_unpadded(new, epsilon, mask)
+    return _ascend(eta, grad_eta, alpha, epsilon, mask, use_token_norm,
+                   f"grad_eta at inner step {_step}")
 
 
 def instance_step(delta: np.ndarray, grad_delta: np.ndarray, alpha: float,
                   epsilon: float, mask: np.ndarray, _step: int = 0) -> np.ndarray:
     """One whole-sequence-normalized ascent step with ball projection."""
-    mask = np.asarray(mask, dtype=bool)
-    _check_finite(f"grad_delta at inner step {_step}", grad_delta)
-    new = delta + _normalized_ascent(grad_delta, mask, alpha, (-2, -1))
-    return _project_unpadded(new, epsilon, mask)
+    return _ascend(delta, grad_delta, alpha, epsilon, mask, False,
+                   f"grad_delta at inner step {_step}")
 
 
 def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
@@ -317,8 +315,8 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         dt = Tensor(delta, requires_grad=True)
         perturbed = T.add(x, dt)
         if cfg.eta_active:
-            et = Tensor(eta, requires_grad=True)
-            perturbed = T.add(perturbed, et)
+            # untracked: x + delta + eta gives eta delta's gradient, which both steps read
+            perturbed = T.add(perturbed, Tensor(eta))
 
         logits = model.forward_from_embeddings(perturbed, mask)
         loss = model.loss(logits, batch)
@@ -338,7 +336,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
             accum.add(named, inv_k)
 
         if cfg.eta_active:
-            eta = token_step(eta, grads[et], cfg.alpha, cfg.epsilon, mask,
+            eta = token_step(eta, grads[dt], cfg.alpha, cfg.epsilon, mask,
                              use_token_norm=cfg.use_token_norm, _step=t)
         delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
         del grads       # before step t + 1's backward builds the next map

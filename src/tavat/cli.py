@@ -19,8 +19,8 @@ from pathlib import Path
 from .data import DatasetFormatError, build_dataset, encode_examples, make_batches
 from .model import (CheckpointFormatError, ConfigError, load_checkpoint, require_file,
                     save_checkpoint)
-from .train import (OPTIMIZERS, TrainConfig, check_head, config_from_dict, evaluate,
-                    format_ablation_table, run_ablation, train)
+from .train import (OPTIMIZERS, TrainConfig, check_head, check_positional, config_from_dict,
+                    evaluate, format_ablation_table, run_ablation, train)
 from .vocab import VocabularyFormatError, apply_to_embedding, load_vocabulary
 
 
@@ -41,6 +41,8 @@ def _load_config(args) -> TrainConfig:
         require_file(args.config)
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config is a JSON object, not a {type(raw).__name__}")
         for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",
                      "init_embedding_from_vocab"):
             value = getattr(args, name, None)
@@ -128,8 +130,9 @@ def _run(args, config: TrainConfig | None) -> int:
         examples = {"train": train_ex, "dev": dev_ex, "test": test_ex}[args.split]
         if not examples:
             raise ConfigError(f"the {args.split} split of the dataset is empty")
-        batches = make_batches(encode_examples(tokenizer, examples, config.max_len),
-                               config.batch_size)
+        encoded = encode_examples(tokenizer, examples, config.max_len)
+        check_positional(model.config, encoded, CheckpointFormatError, args.checkpoint)
+        batches = make_batches(encoded, config.batch_size)
         metrics = evaluate(model, batches)
         print(json.dumps(metrics, sort_keys=True))
         return 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -230,7 +231,7 @@ def span_f1(gold_seqs, pred_seqs) -> tuple[float, float, float]:
 # file ingestion
 
 class DatasetFormatError(ValueError):
-    """Delimited file with a malformed row, a missing column or no words."""
+    """Delimited file that is not UTF-8, or has a malformed row, a missing column or no words."""
 
 
 def _column(path, header: list[str] | None, column: int | str) -> int:
@@ -253,25 +254,32 @@ def load_delimited(path, column_map: dict[str, int | str], delimiter: str = "\t"
     when the first line is a header. Labels are integers. A file that
     fails any of this, or holds no word, raises DatasetFormatError.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # decoded whole: a stream decodes in chunks, so its error can name an earlier line
+    try:
+        decoded = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"{path}:{lineno}: byte {raw[exc.start]:#04x} is not UTF-8")
     examples = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, []) if has_header else None
-        tc = _column(path, header, column_map["text"])
-        lc = _column(path, header, column_map["label"])
-        for lineno, row in enumerate(reader, start=2 if has_header else 1):
-            if not row:
-                continue
-            try:
-                text, raw_label = row[tc], row[lc]
-            except IndexError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: missing required columns in {row!r}")
-            try:
-                label = int(raw_label)
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: unknown label {raw_label!r}")
-            examples.append(Example(tokens=text.split(), label=label))
+    reader = csv.reader(io.StringIO(decoded, newline=""), delimiter=delimiter)
+    header = next(reader, []) if has_header else None
+    tc = _column(path, header, column_map["text"])
+    lc = _column(path, header, column_map["label"])
+    for lineno, row in enumerate(reader, start=2 if has_header else 1):
+        if not row:
+            continue
+        try:
+            text, raw_label = row[tc], row[lc]
+        except IndexError:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: missing required columns in {row!r}")
+        try:
+            label = int(raw_label)
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: unknown label {raw_label!r}")
+        examples.append(Example(tokens=text.split(), label=label))
     if not any(ex.tokens for ex in examples):
         raise DatasetFormatError(f"{path}: no example with any words")
     return examples

@@ -212,6 +212,16 @@ def check_head(head: str, spec: DatasetSpec, error: type[ValueError], where: str
                     f"which needs a {needed} head")
 
 
+def check_positional(cfg: ModelConfig, encoded, error: type[ValueError], where: str) -> None:
+    """Raise ``error`` naming ``where`` when a positional table is shorter than
+    the longest of the ``encoded`` sequences."""
+    if cfg.use_positional:
+        longest = max((len(ex.ids) for ex in encoded), default=0)
+        if longest > cfg.max_len:
+            raise error(f"{where}: max_len {cfg.max_len} is shorter than the "
+                        f"longest encoded sequence, {longest} ids")
+
+
 def _dev_metric(model: TextModel, batches) -> float:
     """Accuracy for classification, span F1 for tagging."""
     metrics = evaluate(model, batches)
@@ -324,11 +334,7 @@ def train(config: TrainConfig) -> TrainResult:
     optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     encoded_train = encode_examples(tokenizer, train_ex, cfg.max_len)
     encoded_dev = encode_examples(tokenizer, dev_ex, cfg.max_len)
-    if model_cfg.use_positional:
-        longest = max((len(ex.ids) for ex in chain(encoded_train, encoded_dev)), default=0)
-        if longest > model_cfg.max_len:
-            raise ConfigError(f"model max_len {model_cfg.max_len} is shorter than the "
-                              f"longest encoded sequence, {longest} ids")
+    check_positional(model_cfg, chain(encoded_train, encoded_dev), ConfigError, "model")
     dev_batches = make_batches(encoded_dev, cfg.batch_size) if encoded_dev else []
 
     out_dir = cfg.resolved_out_dir()

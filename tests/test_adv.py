@@ -235,6 +235,34 @@ class TestTokenStep:
             oracle = token_step_reference(eta[0], grad[0], 0.31, 0.9, mask[0])
             assert np.abs(engine[0] - oracle).max() <= 1e-12
 
+    def test_zero_row_stays_zero_beside_a_nonzero_one(self):
+        """A zero row has scaling index 0 once another row of its sequence is above
+        the floor, so no gradient moves it: its vocabulary row never leaves zero."""
+        rng = np.random.default_rng(13)
+        eta = rng.normal(size=(1, 4, 3)) * 0.1
+        eta[0, 1] = 0.0
+        out = token_step(eta, rng.normal(size=eta.shape), 0.3, 10.0, np.ones((1, 4), bool))
+        np.testing.assert_array_equal(out[0, 1], 0.0)
+        assert (np.linalg.norm(out[0], axis=-1)[[0, 2, 3]] > 0).all()
+
+    def test_row_below_the_peak_by_more_than_alpha_shrinks(self):
+        """Row i's norm after the step is at most n_i (|eta_i| + alpha), with
+        n_i = |eta_i| / max_j |eta_j|: the row shrinks by at least the factor
+        (|eta_i| + alpha) / max_j |eta_j| when that is below 1, whatever the gradient."""
+        rng = np.random.default_rng(14)
+        alpha, shrinking = 0.05, 0
+        for _ in range(200):
+            eta = rng.normal(size=(1, 5, 3)) * rng.uniform(0.01, 0.3, size=(1, 5, 1))
+            out = token_step(eta, rng.normal(size=eta.shape), alpha, 10.0,
+                             np.ones((1, 5), bool))
+            before, after = np.linalg.norm(eta[0], axis=-1), np.linalg.norm(out[0], axis=-1)
+            factor = (before + alpha) / before.max()
+            below = factor < 1
+            assert (after[below] <= factor[below] * before[below] * (1 + 1e-12)).all()
+            assert (after[below] < before[below]).all()
+            shrinking += below.sum()
+        assert shrinking > 100
+
     def test_non_finite_gradient_aborts(self):
         eta = np.zeros((1, 2, 2))
         bad = np.array([[[np.nan, 0.0], [0.0, 0.0]]])

@@ -210,6 +210,15 @@ class TestDelimited:
             load_delimited(path, {"text": "text", "label": "label"},
                            delimiter=",", has_header=True)
 
+    def test_non_utf8_file_names_the_line_of_its_first_bad_byte(self, tmp_path):
+        """The line is exact however deep the byte sits in the file."""
+        path = tmp_path / "latin1.tsv"
+        good = "".join(f"caf\u00e9 {i}\t0\n" for i in range(5000)).encode("utf-8")
+        path.write_bytes(good + b"caf\xe9 au lait\t0\n")
+        with pytest.raises(DatasetFormatError,
+                           match=r"latin1.tsv:5001: byte 0xe9 is not UTF-8$"):
+            load_delimited(path, {"text": 0, "label": 1})
+
 
 class TestBatching:
     def encoded(self, lengths):

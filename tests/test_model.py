@@ -130,6 +130,32 @@ class TestForward:
         logits2 = model.forward_from_embeddings(Tensor(x2), b.mask).data
         np.testing.assert_array_equal(logits1, logits2)
 
+    @pytest.mark.parametrize("head, classes", [("classification", 3), ("tagging", 5)])
+    def test_padding_changes_no_logit_loss_or_gradient(self, head, classes):
+        """An example alone and padded to a longer length give the same logits at its
+        real positions, the same loss and the same parameter gradient."""
+        model = small_model(seed=4, head=head, classes=classes)
+        ids, tags = [4, 5, 6, 7, 8], [1, 2, 3, 4, 0]
+
+        def run(pad):
+            labels = [tags + [0] * pad] if head == "tagging" else [2]
+            b = batch_of([ids + [0] * pad], labels)
+            logits = model.forward(b)
+            loss = model.loss(logits, b)
+            grads = backward(loss)
+            real = logits.data[:, :len(ids)] if head == "tagging" else logits.data
+            return real, loss.item(), {name: np.asarray(grads[p])
+                                       for name, p in model.params.items()}
+
+        logits, loss, grads = run(0)
+        for pad in (1, 6, 11):
+            padded_logits, padded_loss, padded_grads = run(pad)
+            np.testing.assert_allclose(padded_logits, logits, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(padded_loss, loss, rtol=1e-12)
+            for name, g in grads.items():
+                np.testing.assert_allclose(padded_grads[name], g, rtol=1e-12, atol=1e-15,
+                                           err_msg=name)
+
     def test_gradients_reach_perturbations_and_params_in_one_pass(self):
         model = small_model()
         b = batch_of([[4, 5, 6, 0]], labels=[2])

@@ -11,7 +11,7 @@ import tavat.cli as cli_module
 import tavat.train as train_module
 from tavat.adv import AdvConfig, init_vocabulary
 from tavat.cli import MODES, _load_config, main as cli_main
-from tavat.data import DatasetSpec, make_batches, Batch
+from tavat.data import Batch, DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ConfigError, ModelConfig, TextModel, load_checkpoint, save_checkpoint
 from tavat.tensor import RowGradient, Tensor
 from tavat.train import (Adam, MetricsWriter, Seeds, TrainConfig, config_from_dict,
@@ -319,7 +319,6 @@ class TestEvaluate:
     def test_accuracy_against_confusion_recount(self, tmp_path):
         config = quick_config(tmp_path, run_name="recount")
         result = train(config)
-        from tavat.data import build_dataset, encode_examples
         tok, _, dev, _ = build_dataset(config.dataset, seed=config.seeds.data)
         batches = make_batches(encode_examples(tok, dev, config.max_len), 16)
         metric = evaluate(result.model, batches)["accuracy"]
@@ -377,6 +376,32 @@ class TestMetricsStream:
         steps = [(r["epoch"], r["batch"]) for r in parse_metrics(result.metrics_path)
                  if r["kind"] == "step"]
         assert steps == sorted(steps)
+
+    def test_each_epoch_steps_on_its_own_shuffle(self, tmp_path, monkeypatch):
+        """Epoch e steps on make_batches(encoded_train, batch_size, seed=seeds.data + e,
+        shuffle=True), batch by batch; epochs 0 and 1 differ."""
+        config = quick_config(tmp_path, run_name="shuffle")
+        config.epochs = 2
+        seen = []
+        step = train_module.tavat_batch_step
+
+        def spy(model, batch, *args):
+            seen.append((batch.token_ids.copy(), batch.labels.copy()))
+            return step(model, batch, *args)
+
+        monkeypatch.setattr(train_module, "tavat_batch_step", spy)
+        train(config)
+        tokenizer, train_ex, _, _ = build_dataset(config.dataset, seed=config.seeds.data)
+        encoded = encode_examples(tokenizer, train_ex, config.max_len)
+        epochs = [[(b.token_ids, b.labels) for b in make_batches(
+            encoded, config.batch_size, seed=config.seeds.data + e, shuffle=True)]
+            for e in range(2)]
+        assert any(not np.array_equal(a[0], b[0]) for a, b in zip(*epochs))
+        expected = epochs[0] + epochs[1]
+        assert len(seen) == len(expected)
+        for (ids, labels), (want_ids, want_labels) in zip(seen, expected):
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(labels, want_labels)
 
 
 class TestAblation:
@@ -635,8 +660,12 @@ class TestCLI:
               ({"dataset": TAGGING, "model": {"vocab_size": 54, "head": "tagging",
                                               "classes": 5, "use_positional": True,
                                               "max_len": 12}},
-               "model max_len 12 is shorter than the longest encoded sequence, 16 ids"),
+               "model: max_len 12 is shorter than the longest encoded sequence, 16 ids"),
           ]],
+        ("evaluate", {"dataset": {**TAGGING, "test_fraction": 0.25},
+                      "model": {"vocab_size": 54, "head": "tagging", "classes": 5,
+                                "use_positional": True, "max_len": 12}}, None,
+         "{checkpoint}: max_len 12 is shorter than the longest encoded sequence, 16 ids"),
         ("evaluate", {"dataset": {**TAGGING, "test_fraction": 0.25},
                       "model": {"vocab_size": 54}}, None,
          "{checkpoint}: a classification head cannot take synthetic-tagging data, which "
@@ -657,19 +686,21 @@ class TestCLI:
          "{data}: header ['text', 'target'] has no column 'label'"),
         ("train", {"dataset": DELIMITED}, "", "{data}: no example with any words"),
         ("evaluate", {"dataset": DELIMITED}, "\n\n", "{data}: no example with any words"),
+        ("train", {"dataset": DELIMITED}, b"good text\t0\ncaf\xe9 au lait\t0\n",
+         "{data}:2: byte 0xe9 is not UTF-8"),
     ])
     def test_values_the_run_cannot_take_exit_with_one_error_line(self, tmp_path, capsys,
                                                                 command, edit, rows, message):
         """Config values each valid alone that the dataset, the model or the ablation
-        grid cannot take, and a delimited file (``rows``) that is not one, end the
-        command with one line, before anything is written."""
+        grid cannot take, and a delimited file (``rows``, text or raw bytes) that is not
+        one, end the command with one line, before anything is written."""
         config, path = self.write_config(tmp_path, run_name="unfit")
         data = tmp_path / "data.tsv"
         raw = config.to_dict()
         for key, value in edit.items():
             raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
         if rows is not None:
-            data.write_text(rows, encoding="utf-8")
+            data.write_bytes(rows if isinstance(rows, bytes) else rows.encode("utf-8"))
             raw["dataset"]["path"] = str(data)
         path.write_text(json.dumps(raw), encoding="utf-8")
         extra = []
@@ -764,6 +795,23 @@ class TestCLI:
         assert exited.value.code == 2
         assert capsys.readouterr().err == f"tavat {command}: error: {path}: {message}\n"
         assert not config.resolved_out_dir().exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+    @pytest.mark.parametrize("text, kind", [("[]", "list"), ('"a"', "str"), ("3", "int")])
+    def test_config_that_is_not_an_object_exits_with_one_error_line(self, tmp_path, capsys,
+                                                                    command, text, kind):
+        """A config file holding JSON other than an object is refused, not read as
+        an empty config or failed on by the first flag written into it."""
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        extra = (["--checkpoint", str(tmp_path / "absent.bin")] if command == "evaluate"
+                 else ["--epochs", "0", "--out-dir", str(tmp_path / "runs")])
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command, "--config", str(path), *extra])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == (
+            f"tavat {command}: error: {path}: a config is a JSON object, not a {kind}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_refused_flag_exits_with_one_error_line(self, tmp_path, capsys, command):
