@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .data import PAD
 from .model import ConfigError, _check_bools, _check_ints, _is_int, _is_real
-from .tensor import Tensor, _check_ids, backward
+from .tensor import Tensor, _check_ids, backward, row_summer
 from .vocab import PerturbationVocabulary
 
 NORM_FLOOR = 1e-12
@@ -208,8 +208,7 @@ def scatter(vocab: PerturbationVocabulary, token_ids: np.ndarray, mask: np.ndarr
         return vocab
 
     rows, slot = np.unique(ids[keep], return_inverse=True)
-    sums = np.zeros((rows.size, vocab.dim))
-    np.add.at(sums, slot, slices[keep])
+    sums = row_summer(slot, rows.size, vocab.dim)(slices[keep])
     means = sums / np.bincount(slot)[:, None]
     # each row is a one-token sequence to the ball projection
     vocab.table[rows] = project_frobenius(means[:, None, :], epsilon)[:, 0]

@@ -267,18 +267,18 @@ def load_delimited(path, column_map: dict[str, int | str], delimiter: str = "\t"
     header = next(reader, []) if has_header else None
     tc = _column(path, header, column_map["text"])
     lc = _column(path, header, column_map["label"])
-    for lineno, row in enumerate(reader, start=2 if has_header else 1):
+    for row in reader:
         if not row:
             continue
         try:
             text, raw_label = row[tc], row[lc]
         except IndexError:
             raise DatasetFormatError(
-                f"{path}:{lineno}: missing required columns in {row!r}")
+                f"{path}:{reader.line_num}: missing required columns in {row!r}")
         try:
             label = int(raw_label)
         except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: unknown label {raw_label!r}")
+            raise DatasetFormatError(f"{path}:{reader.line_num}: unknown label {raw_label!r}")
         examples.append(Example(tokens=text.split(), label=label))
     if not any(ex.tokens for ex in examples):
         raise DatasetFormatError(f"{path}: no example with any words")

@@ -406,13 +406,12 @@ class RowGradient:
     """Gradient of a table that is zero outside the rows a lookup touched.
 
     ``rows`` is sorted and unique, and ``values[i]`` is the gradient of
-    row ``rows[i]``. ``np.asarray`` gives the dense table, ``+0.0`` off
-    ``rows``, and ``g[start:stop]`` that table's rows ``start:stop``
-    without the rest. Besides that it has only the arithmetic that
-    ``backward`` and a K-step sum do with a gradient: ``w * g`` for a
-    finite ``w >= 0``, ``0.0 + g``, and ``g + g`` over the union of rows.
-    Each evaluates the dense expression's arithmetic on the rows it keeps,
-    so densifying afterwards gives the dense result bit for bit.
+    row ``rows[i]``; every other row is ``+0.0``. It has only the
+    arithmetic that ``backward`` and a K-step sum do with a gradient:
+    ``w * g`` for a finite ``w >= 0``, ``0.0 + g``, and ``g + g`` over the
+    union of rows. Each evaluates the dense expression's arithmetic on the
+    rows it keeps, so the rows it leaves out are the dense result's
+    ``+0.0``. The optimizers read ``rows`` and ``values`` as they are.
     """
 
     __slots__ = ("rows", "values", "shape")
@@ -425,20 +424,6 @@ class RowGradient:
         out = np.zeros((rows.size,) + self.shape[1:])
         out[np.searchsorted(rows, self.rows)] = self.values
         return out
-
-    def __getitem__(self, block: slice) -> np.ndarray:
-        if not isinstance(block, slice) or block.step not in (None, 1):
-            raise TypeError(f"a RowGradient takes a contiguous row slice, not {block!r}")
-        start, stop, _ = block.indices(self.shape[0])
-        stop = max(start, stop)
-        lo, hi = np.searchsorted(self.rows, (start, stop))
-        out = np.zeros((stop - start,) + self.shape[1:])
-        out[self.rows[lo:hi] - start] = self.values[lo:hi]
-        return out
-
-    def __array__(self, dtype=None, copy=None):
-        out = self[:]
-        return out if dtype is None else out.astype(dtype, copy=False)
 
     def __rmul__(self, w):
         # off the rows w * 0.0 must stay +0.0: no negative, infinite or NaN w
@@ -464,6 +449,14 @@ def _check_ids(what: str, ids: np.ndarray, n: int) -> None:
         raise IndexError(f"{what}: token id out of range [0, {n}): min={ids.min()}, max={ids.max()}")
 
 
+def row_summer(slot: np.ndarray, slots: int, dim: int):
+    """A function that sums ``dim``-wide rows into ``slots`` rows by ``slot``:
+    each cell's terms in order from +0.0, as adding the rows one at a time
+    would, for ``np.bincount`` walks its weights in order."""
+    cells = (slot.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    return lambda values: np.bincount(cells, values.reshape(-1), slots * dim).reshape(slots, dim)
+
+
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of an N x D table; the gradient sums back by id as a RowGradient."""
     ids = np.asarray(ids)
@@ -472,19 +465,16 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     _check_ids("embedding_lookup", ids, table.shape[0])
     out = table.data[ids]
     shape = table.shape
-    rows = slot = None
+    rows = sum_rows = None
 
     def vjp(g):
-        nonlocal rows, slot
+        nonlocal rows, sum_rows
         if rows is None:
             # found by the first backward and kept for the later replays;
             # a forward that nothing differentiates never sorts the ids
             rows, slot = np.unique(ids, return_inverse=True)
-            slot = slot.reshape(ids.shape)
-        # np.add.at sums each row's occurrences in order, as a dense scatter would
-        values = np.zeros((rows.size,) + shape[1:])
-        np.add.at(values, slot, g)
-        return (RowGradient(rows, values, shape),)
+            sum_rows = row_summer(slot, rows.size, shape[1])
+        return (RowGradient(rows, sum_rows(g), shape),)
 
     return _track(out, (table,), vjp, "embedding_lookup")
 

@@ -34,8 +34,16 @@ from .vocab import apply_to_embedding, load_vocabulary, save_vocabulary
 METRICS_SCHEMA = 1
 
 
+def _touched(grad: np.ndarray | RowGradient):
+    """The rows a gradient may be nonzero on, as an index, and its values there."""
+    if isinstance(grad, RowGradient):
+        return grad.rows, grad.values
+    return slice(None), grad
+
+
 class SGD:
-    """Plain SGD: each parameter moves by -lr times its gradient."""
+    """Plain SGD, in place. ``p - lr * +0.0`` is ``p``, -0.0 included, so a
+    table moves only the rows its gradient touched."""
 
     def __init__(self, lr: float):
         self.lr = lr
@@ -43,20 +51,21 @@ class SGD:
     def step(self, params: dict[str, Tensor],
              grads: dict[str, np.ndarray | RowGradient]) -> None:
         for name, p in params.items():
-            p.data = p.data - self.lr * np.asarray(grads[name])
+            rows, g = _touched(grads[name])
+            p.data[rows] -= self.lr * g
 
 
 class Adam:
     """Adam with bias correction; state keyed by parameter name.
 
-    Each parameter is walked in blocks of ``_BLOCK_ROWS`` rows. A
-    gradient is an ndarray or a table's ``RowGradient``, whose block is
-    dense: zeros with the touched rows written in. Per block, the moments
-    and the parameter are updated in place, through block-sized
-    temporaries, in the operation order of ``m = B1*m + (1-B1)*g``,
-    ``v = B2*v + (1-B2)*g*g`` and ``p - lr*(m/c1) / (sqrt(v/c2) + EPS)``.
-    Every operation is elementwise, so the result does not depend on the
-    block size.
+    In place, in the operation order of ``m = B1*m + (1-B1)*g``,
+    ``v = B2*v + (1-B2)*g*g`` and ``p - lr*(m/c1) / (sqrt(v/c2) + EPS)``:
+    the moments decay whole, take the gradient terms on the touched rows
+    only, and the update walks blocks of ``_BLOCK_ROWS`` rows so its
+    temporaries stay block-sized. Off the rows the dense step would add
+    ``+0.0``, which changes only a ``-0.0``, and no moment is ever ``-0.0``:
+    ``x + y`` is ``-0.0`` only when both are, the moments start at ``+0.0``,
+    and B1 or B2 times the smallest denormal rounds back to it.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -74,28 +83,26 @@ class Adam:
         c1 = 1 - self.BETA1 ** self.t
         c2 = 1 - self.BETA2 ** self.t
         for name, p in params.items():
-            grad = grads[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            rows, g = _touched(grads[name])
+            m *= self.BETA1
+            v *= self.BETA2
+            m[rows] += (1 - self.BETA1) * g
+            temp = np.multiply(1 - self.BETA2, g)
+            temp *= g
+            v[rows] += temp
             for start in range(0, len(p.data), self._BLOCK_ROWS):
-                rows = slice(start, start + self._BLOCK_ROWS)
-                g, param = grad[rows], p.data[rows]
-                m, v = self.m[name][rows], self.v[name][rows]
-                temp = np.multiply(1 - self.BETA1, g)
-                m *= self.BETA1
-                m += temp
-                np.multiply(1 - self.BETA2, g, out=temp)
-                temp *= g
-                v *= self.BETA2
-                v += temp
-                np.divide(v, c2, out=temp)
+                block = slice(start, start + self._BLOCK_ROWS)
+                temp = np.divide(v[block], c2)
                 np.sqrt(temp, out=temp)
                 temp += self.EPS
-                update = np.divide(m, c1)
+                update = np.divide(m[block], c1)
                 update *= self.lr
                 update /= temp
-                param -= update
+                p.data[block] -= update
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}

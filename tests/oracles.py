@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tavat.tensor import Tensor, add, backward, cross_entropy_loss
+from tavat.tensor import RowGradient, Tensor, add, backward, cross_entropy_loss
 
 
 @dataclass
@@ -46,6 +46,15 @@ class OracleReport:
             f"oracle={self.oracle_value:.12g} abs={self.abs_error:.3g} "
             f"rel={self.rel_error:.3g} tol={self.tolerance:g}"
         )
+
+
+def dense_gradient(g) -> np.ndarray:
+    """A gradient as a dense array: a RowGradient's table is +0.0 off its rows."""
+    if not isinstance(g, RowGradient):
+        return np.asarray(g)
+    out = np.zeros(g.shape)
+    out[g.rows] = g.values
+    return out
 
 
 def cue_majority_oracle(tokens: list[str], classes: int = 2) -> int:
@@ -217,7 +226,7 @@ def reference_freelb_step(model, batch, cfg, rng: np.random.Generator, lr: float
         losses.append(loss.item())
 
         for name, p in model.params.items():
-            g = grads[p]
+            g = dense_gradient(grads[p])
             accum[name] = accum.get(name, 0.0) + inv_k * g
 
         gd = grads[d]

@@ -23,8 +23,8 @@ from tavat.train import (SGD, Seeds, TrainConfig, parse_metrics, run_ablation,
                          train)
 from tavat.vocab import (FingerprintMismatch, apply_to_embedding, load_vocabulary,
                          save_vocabulary)
-from oracles import (OracleReport, ball_grid_points, finite_difference_gradient,
-                     grid_inner_max, reference_freelb_step)
+from oracles import (OracleReport, ball_grid_points, dense_gradient,
+                     finite_difference_gradient, grid_inner_max, reference_freelb_step)
 from stepwatch import RecordingOptimizer, Trajectory
 
 
@@ -72,7 +72,7 @@ class TestAcceptance:
         def check(target_tensor, n_coords):
             """A coordinate fails only above the 1e-8 absolute floor AND 1e-4 relative."""
             nonlocal worst, worst_pair, checked
-            ad_full = np.asarray(grads[target_tensor]).reshape(-1)
+            ad_full = dense_gradient(grads[target_tensor]).reshape(-1)
             coords = sorted(rng.choice(target_tensor.size,
                                        size=min(n_coords, target_tensor.size),
                                        replace=False))
@@ -253,8 +253,8 @@ class TestAcceptance:
                 grads = backward(before.loss(
                     before.forward_from_embeddings(perturbed, batch.mask), batch))
                 for name, p in before.params.items():
-                    recomputed[name] = recomputed[name] + np.asarray(grads[p]) / cfg.K
-            diff = max(np.abs(optimizer.grads[n] - recomputed[n]).max()
+                    recomputed[name] = recomputed[name] + dense_gradient(grads[p]) / cfg.K
+            diff = max(np.abs(dense_gradient(optimizer.grads[n]) - recomputed[n]).max()
                        for n in recomputed)
             worst = max(worst, diff)
         oracle_report = OracleReport("worst accumulated-gradient gap vs recomputation",

@@ -190,6 +190,14 @@ class TestDelimited:
         with pytest.raises(DatasetFormatError, match="bad.tsv:2"):
             load_delimited(path, {"text": 0, "label": 1})
 
+    def test_line_number_counts_the_lines_of_a_quoted_field(self, tmp_path):
+        """A quoted field that spans two lines is one record on lines 1-2, so
+        the next record's label is on line 3."""
+        path = tmp_path / "q.tsv"
+        path.write_text('"first\nhalf"\t0\nc d\tmaybe\n', encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=r"q\.tsv:3: unknown label 'maybe'"):
+            load_delimited(path, {"text": 0, "label": 1})
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("some text\tmaybe\n", encoding="utf-8")

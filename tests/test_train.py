@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+import tavat.adv as adv_module
 import tavat.cli as cli_module
 import tavat.train as train_module
 from tavat.adv import AdvConfig, init_vocabulary
@@ -18,6 +19,7 @@ from tavat.train import (Adam, MetricsWriter, Seeds, TrainConfig, config_from_di
                          evaluate, format_ablation_table, parse_metrics, run_ablation,
                          train)
 from tavat.vocab import save_vocabulary
+from oracles import dense_gradient
 from test_golden import load_workloads
 
 
@@ -105,26 +107,52 @@ class TestAdam:
                 assert p.data is buffers[n]
 
     def test_row_gradient_steps_like_its_dense_form_bitwise(self):
-        """A table's RowGradient goes in as it is. Over three whole row blocks,
-        the middle one untouched, a partial last block and a -0.0 entry,
-        parameter and moments move exactly as for the dense gradient."""
-        rng = np.random.default_rng(32)
+        """A table's RowGradient goes into Adam and SGD as it is, and over four
+        steps the parameter and the moments move exactly as for its dense
+        form. The table spans three whole row blocks and a partial last one;
+        the middle block is never touched, some rows only in the first step;
+        gradients hold -0.0 entries and a -0.0 row, the parameter -0.0 entries
+        off the rows. m starts at +0.0 and at plus and minus the smallest
+        denormal, which decays back to itself, and v, never negative, at +0.0
+        and at the smallest denormal."""
         block = Adam._BLOCK_ROWS
         shape = (3 * block + 5, 4)
-        rows = np.array([0, 2, block - 1, 2 * block, 2 * block + 7, 3 * block + 4])
-        start = rng.uniform(-1, 1, size=shape)
-        sparse, dense = ({"table": Tensor(start.copy(), requires_grad=True)} for _ in range(2))
-        sparse_opt, dense_opt = Adam(self.LR), Adam(self.LR)
-        for _ in range(3):
-            values = rng.normal(size=(rows.size, shape[1]))
-            values[1, 2] = -0.0
-            g = RowGradient(rows, values, shape)
-            sparse_opt.step(sparse, {"table": g})
-            dense_opt.step(dense, {"table": np.asarray(g)})
-            assert sparse["table"].data.tobytes() == dense["table"].data.tobytes()
-            assert sparse_opt.m["table"].tobytes() == dense_opt.m["table"].tobytes()
-            assert sparse_opt.v["table"].tobytes() == dense_opt.v["table"].tobytes()
-        assert (sparse_opt.m["table"][block:2 * block] == 0.0).all()
+        always = np.array([0, 2, block - 1, 2 * block + 7, 3 * block + 4])
+        first_only = np.array([3, block + block // 2, 2 * block, 3 * block])
+        untouched = slice(block, block + block // 2)
+        tiny = np.nextafter(0.0, 1.0)
+        preset = {"m": np.resize([tiny, -tiny, 0.0], shape),
+                  "v": np.resize([tiny, tiny, 0.0], shape)}
+        for kind, optimizer in train_module.OPTIMIZERS.items():
+            rng = np.random.default_rng(32)
+            start = rng.uniform(-1, 1, size=shape)
+            start[[1, block + 3, 3 * block + 1], 1:3] = -0.0
+            sparse, dense = ({"table": Tensor(start.copy(), requires_grad=True)}
+                             for _ in range(2))
+            sparse_opt, dense_opt = optimizer(self.LR), optimizer(self.LR)
+            moments = ("m", "v") if kind == "adam" else ()
+            for moment in moments:
+                for opt in (sparse_opt, dense_opt):
+                    getattr(opt, moment)["table"] = preset[moment].copy()
+            buffer = sparse["table"].data
+            for step in range(4):
+                rows = np.union1d(always, first_only) if step == 0 else always
+                values = rng.normal(size=(rows.size, shape[1]))
+                values[1, 2] = -0.0
+                values[-1] = -0.0
+                g = RowGradient(rows, values, shape)
+                sparse_opt.step(sparse, {"table": g})
+                dense_opt.step(dense, {"table": dense_gradient(g)})
+                assert sparse["table"].data.tobytes() == dense["table"].data.tobytes(), kind
+                for moment in moments:
+                    want = getattr(dense_opt, moment)["table"].tobytes()
+                    assert getattr(sparse_opt, moment)["table"].tobytes() == want, moment
+            assert sparse["table"].data is buffer
+            for moment in moments:
+                kept = getattr(sparse_opt, moment)["table"][untouched]
+                assert kept.tobytes() == preset[moment][untouched].tobytes()
+            if not moments:
+                assert sparse["table"].data[untouched].tobytes() == start[untouched].tobytes()
 
     def test_table_step_allocates_no_table_sized_array(self):
         """Once the moments exist, a step over a 2 MB table and its RowGradient
@@ -402,6 +430,70 @@ class TestMetricsStream:
         for (ids, labels), (want_ids, want_labels) in zip(seen, expected):
             np.testing.assert_array_equal(ids, want_ids)
             np.testing.assert_array_equal(labels, want_labels)
+
+
+class TestVocabularyRows:
+    """The token-level rule followed through a short run's vocabulary writes."""
+
+    PLANTED = np.arange(4, 56, 7)       # rows zeroed before the first batch
+
+    def test_zero_rows_stay_zero_and_rows_with_factor_below_one_shrink(
+            self, tmp_path, monkeypatch):
+        """With K = 1 a batch takes one token step from the gathered rows, and
+        each token's step is scaled by n = ‖r‖ / P, P its sequence's largest
+        row norm. So a row written back has norm at most f‖r‖, where
+        f = (‖r‖ + α) / P with the smallest P among the sequences holding it
+        (a mean and a projection only shrink). A row at zero stays zero, and
+        a row with f < 1 shrinks, from batch to batch, until a sequence's
+        every row is below the norm floor and the cold start frees them."""
+        config = quick_config(tmp_path, run_name="rows", K=1)
+        config.epochs = 3
+        alpha = config.adv.alpha
+
+        def planted(*args, **kwargs):
+            vocab = init_vocabulary(*args, **kwargs)
+            vocab.table[self.PLANTED] = 0.0
+            return vocab
+
+        writes = []
+        scatter = adv_module.scatter
+
+        def spy(vocab, token_ids, mask, eta_final, **kwargs):
+            before = vocab.table.copy()
+            scatter(vocab, token_ids, mask, eta_final, **kwargs)
+            writes.append((before, vocab.table.copy(), token_ids, mask))
+            return vocab
+
+        monkeypatch.setattr(train_module, "init_vocabulary", planted)
+        monkeypatch.setattr(adv_module, "scatter", spy)
+        train(config)
+
+        def row_norms(table):
+            return np.sqrt((table * table).sum(axis=1))
+
+        zero_writes = shrinks = 0
+        for before, after, ids, mask in writes:
+            was, now = row_norms(before), row_norms(after)
+            peaks = np.where(mask, was[ids], 0.0).max(axis=1)
+            for row in np.unique(ids[mask & (ids != 0)]):
+                peak = peaks[((ids == row) & mask).any(axis=1)].min()
+                if peak < adv_module.NORM_FLOOR:
+                    continue
+                factor = (was[row] + alpha) / peak
+                assert now[row] <= factor * was[row] * (1 + 1e-12), (row, factor)
+                if was[row] == 0.0:
+                    zero_writes += 1
+                    assert not after[row].any()
+                elif factor < 1.0:
+                    shrinks += 1
+                    assert now[row] < was[row]
+        assert zero_writes > 0 and shrinks > 0
+        final = row_norms(writes[-1][1])
+        assert not final[self.PLANTED].any()
+        free = np.setdiff1d(np.arange(1, final.size), self.PLANTED)
+        # 18 writes: 125 of a zero row, 273 shrinks; then 10 of the 47 rows
+        # neither padding nor planted are below 1e-6, median 3.0e-5
+        assert (final[free] < 1e-6).sum() == 10
 
 
 class TestAblation:
