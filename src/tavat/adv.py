@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .data import PAD
 from .model import ConfigError, _check_bools, _check_ints, _is_int, _is_real
-from .tensor import Tensor, _check_ids, backward, row_summer
+from .tensor import Packed, Tensor, _check_ids, backward, row_summer
 from .vocab import PerturbationVocabulary
 
 NORM_FLOOR = 1e-12
@@ -109,22 +109,43 @@ class AdvConfig:
 class AccumulatedGradient:
     """Running parameter-gradient sum over the inner steps.
 
-    A table's entry stays a ``RowGradient``; the optimizer takes it as it is.
+    The dense gradients sum in place in one ``Packed`` buffer, so the sum,
+    the finite check and the optimizer's update each run once over it; a
+    table's entry stays a ``RowGradient``, which the optimizer takes as it is.
     """
 
     sums: dict = field(default_factory=dict)
 
     def add(self, named_grads, weight: float) -> None:
-        for name, g in named_grads:
-            if name in self.sums:
-                # in place for an ndarray; a RowGradient's rows are summed anew
-                self.sums[name] += weight * g
-            else:
-                self.sums[name] = 0.0 + weight * g
+        named = list(named_grads)
+        dense = [(name, g) for name, g in named if not isinstance(g, T.RowGradient)]
+        # w * g for every dense name at once: 0.0 + w * g at the first step, s + w * g after
+        terms = np.concatenate([g.reshape(-1) for _, g in dense] or [np.zeros(0)])
+        terms *= weight
+        if self.sums:
+            self.sums.flat += terms
+        else:
+            terms += 0.0
+            self.sums = Packed(((name, g.shape) for name, g in dense), terms)
+        for name, g in named:
+            if isinstance(g, T.RowGradient):
+                # a RowGradient's rows are summed anew
+                self.sums[name] = self.sums.get(name, 0.0) + weight * g
 
     def replace(self, named_grads) -> None:
         # kept as they are: backward and the optimizers only read a gradient
         self.sums = dict(named_grads)
+
+    def check_finite(self, names) -> None:
+        """Raise NonFiniteGradient naming the first of ``names`` whose sum has
+        a NaN or an infinity."""
+        dense_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()
+        for name in names:
+            g = self.sums[name]
+            if isinstance(g, T.RowGradient):
+                _check_finite(f"accumulated gradient of {name}", g.values)
+            elif not dense_finite:
+                _check_finite(f"accumulated gradient of {name}", g)
 
 
 @dataclass
@@ -340,9 +361,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         delta = instance_step(delta, grads[dt], cfg.alpha, cfg.epsilon, mask, _step=t)
         del grads       # before step t + 1's backward builds the next map
 
-    for name, g in accum.sums.items():
-        _check_finite(f"accumulated gradient of {name}",
-                      g.values if isinstance(g, T.RowGradient) else g)
+    accum.check_finite(model.params)
     if cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
                 epsilon=cfg.epsilon)

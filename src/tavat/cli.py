@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from .container import replace_atomically
 from .data import DatasetFormatError, build_dataset, encode_examples, make_batches
 from .model import (CheckpointFormatError, ConfigError, load_checkpoint, require_file,
                     save_checkpoint)
@@ -143,7 +144,7 @@ def _run(args, config: TrainConfig | None) -> int:
         out_dir = config.resolved_out_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
         table_path = out_dir / f"ablation-{args.grid}.json"
-        table_path.write_text(json.dumps(rows, indent=2), encoding="utf-8")
+        replace_atomically(table_path, [json.dumps(rows, indent=2).encode("utf-8")])
         print(f"table written to {table_path}")
         return 0
 

@@ -38,18 +38,21 @@ def f8(array: np.ndarray) -> bytes:
     return np.asarray(array, dtype="<f8").tobytes()
 
 
-def write(path, magic: bytes, version: int, fields: list[bytes]) -> None:
-    """Atomically replace ``path`` with magic, version and the encoded fields.
+def replace_atomically(path, chunks) -> None:
+    """Replace ``path`` with the concatenated byte ``chunks``, all or nothing.
 
-    As an in-place rewrite would, this writes through a symlink and keeps
-    an existing file's permission bits.
+    The chunks go to a sibling temp file that is fsynced and renamed over
+    the target, then the directory is fsynced; on any failure the temp file
+    is removed and the target keeps its old bytes. As an in-place rewrite
+    would, this writes through a symlink and keeps an existing file's
+    permission bits.
     """
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for field in (magic, u32(version), *fields):
-                fh.write(field)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         with suppress(FileNotFoundError):
@@ -64,6 +67,11 @@ def write(path, magic: bytes, version: int, fields: list[bytes]) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def write(path, magic: bytes, version: int, fields: list[bytes]) -> None:
+    """Atomically replace ``path`` with magic, version and the encoded fields."""
+    replace_atomically(path, (magic, u32(version), *fields))
 
 
 class Reader:

@@ -35,7 +35,10 @@ class ConfigError(ValueError):
 
 
 def require_file(path, parent: bool = False) -> None:
-    """Raise ConfigError unless ``path`` is a file or, with ``parent``, its directory exists."""
+    """Raise ConfigError unless ``path`` is a file or, with ``parent``, could be
+    made one: no directory, in a directory that exists."""
+    if Path(path).is_dir():
+        raise ConfigError(f"{path}: a directory, not a file")
     if not (Path(path).parent.is_dir() if parent else Path(path).is_file()):
         raise ConfigError(f"{path}: no such file")
 
@@ -82,6 +85,8 @@ class ModelConfig:
 
 
 MASK_FILL_VALUE = -1e9
+# the parameters read through embedding_lookup, whose gradients are RowGradients
+LOOKUP_TABLES = ("embedding.weight", "positional.weight")
 
 
 def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -121,8 +126,13 @@ class TextModel:
             self.params = self._init_params(rng)
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+        """Drawn in ``param_shapes`` order; the dense parameters (all but the
+        lookup tables) are views of one ``Packed`` buffer, so an optimizer
+        updates them in one pass."""
         cfg = self.config
         params: dict[str, Tensor] = {}
+        dense = T.Packed((name, shape) for name, shape in param_shapes(cfg)
+                         if name not in LOOKUP_TABLES)
         for name, shape in param_shapes(cfg):
             if name == "embedding.weight":
                 # token rows land near unit norm, the regime the perturbation
@@ -140,6 +150,9 @@ class TextModel:
                 data = np.ones(shape)
             else:
                 data = np.zeros(shape)
+            if name in dense:
+                dense[name][...] = data
+                data = dense[name]
             params[name] = Tensor(data, requires_grad=True)
         return params
 

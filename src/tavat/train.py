@@ -13,6 +13,7 @@ import ctypes
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import time
@@ -28,17 +29,49 @@ from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1, tagging_tag_names)
 from .model import (ConfigError, ModelConfig, TextModel, _check_ints, _is_real,
                     require_file, save_checkpoint)
-from .tensor import RowGradient, Tensor
+from .tensor import Packed, RowGradient, Tensor, packed_buffer
 from .vocab import apply_to_embedding, load_vocabulary, save_vocabulary
 
 METRICS_SCHEMA = 1
 
 
-def _touched(grad: np.ndarray | RowGradient):
-    """The rows a gradient may be nonzero on, as an index, and its values there."""
-    if isinstance(grad, RowGradient):
-        return grad.rows, grad.values
-    return slice(None), grad
+class _Pieces:
+    """What an optimizer step walks: (key, parameter array, rows, gradient)
+    per piece, where ``rows`` indexes the rows the gradient may be nonzero on.
+
+    A table's RowGradient is its own piece, its ``rows`` and ``values`` as
+    they are. The dense parameters are one piece over their ``Packed``
+    buffer, keyed by its layout, when ``TextModel`` packed them and the
+    gradients come packed the same way, as ``AccumulatedGradient`` sums
+    them; otherwise each is a piece of its own, keyed by name. Which
+    parameter arrays tile one buffer is found once and then checked by
+    identity on every step.
+    """
+
+    def __init__(self):
+        self._views: tuple = ()
+        self._flat: np.ndarray | None = None
+        self._layout: tuple = ()
+
+    def __call__(self, params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGradient]):
+        pieces, dense = [], []
+        for name, p in params.items():
+            g = grads[name]
+            if isinstance(g, RowGradient):
+                pieces.append((name, p.data, g.rows, g.values))
+            else:
+                dense.append((name, p.data))
+        views = tuple(data for _, data in dense)
+        if len(views) != len(self._views) or not all(map(operator.is_, views, self._views)):
+            self._views = views
+            self._flat = packed_buffer(views)
+            self._layout = tuple((name, data.shape) for name, data in dense)
+        if (self._flat is not None and isinstance(grads, Packed)
+                and grads.layout == self._layout):
+            pieces.append((self._layout, self._flat, slice(None), grads.flat))
+        else:
+            pieces += [(name, data, slice(None), grads[name]) for name, data in dense]
+        return pieces
 
 
 class SGD:
@@ -47,12 +80,12 @@ class SGD:
 
     def __init__(self, lr: float):
         self.lr = lr
+        self._pieces = _Pieces()
 
     def step(self, params: dict[str, Tensor],
              grads: dict[str, np.ndarray | RowGradient]) -> None:
-        for name, p in params.items():
-            rows, g = _touched(grads[name])
-            p.data[rows] -= self.lr * g
+        for _, p, rows, g in self._pieces(params, grads):
+            p[rows] -= self.lr * g
 
 
 class Adam:
@@ -61,11 +94,13 @@ class Adam:
     In place, in the operation order of ``m = B1*m + (1-B1)*g``,
     ``v = B2*v + (1-B2)*g*g`` and ``p - lr*(m/c1) / (sqrt(v/c2) + EPS)``:
     the moments decay whole, take the gradient terms on the touched rows
-    only, and the update walks blocks of ``_BLOCK_ROWS`` rows so its
+    only, and a table's update walks blocks of ``_BLOCK_ROWS`` rows so its
     temporaries stay block-sized. Off the rows the dense step would add
     ``+0.0``, which changes only a ``-0.0``, and no moment is ever ``-0.0``:
     ``x + y`` is ``-0.0`` only when both are, the moments start at ``+0.0``,
-    and B1 or B2 times the smallest denormal rounds back to it.
+    and B1 or B2 times the smallest denormal rounds back to it. The moments
+    of packed dense parameters are views of two ``Packed`` buffers of the
+    same layout, stepped in one pass each.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -76,33 +111,51 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._pieces = _Pieces()
+        self._packed: tuple = (None, None, None)    # layout, m and v buffers
+
+    def _moments(self, key, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """m and v of one piece, made at its first step: zeros, except that
+        a packed piece takes over the moments its names already have."""
+        if isinstance(key, str):
+            if key not in self.m:
+                self.m[key] = np.zeros_like(p)
+                self.v[key] = np.zeros_like(p)
+            return self.m[key], self.v[key]
+        if self._packed[0] is not key:
+            m, v = Packed(key), Packed(key)
+            for name, _ in key:
+                for old, new in ((self.m, m), (self.v, v)):
+                    if name in old:
+                        new[name][...] = old[name]
+                    old[name] = new[name]
+            self._packed = key, m.flat, v.flat
+        return self._packed[1:]
 
     def step(self, params: dict[str, Tensor],
              grads: dict[str, np.ndarray | RowGradient]) -> None:
         self.t += 1
         c1 = 1 - self.BETA1 ** self.t
         c2 = 1 - self.BETA2 ** self.t
-        for name, p in params.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            rows, g = _touched(grads[name])
+        for key, p, rows, g in self._pieces(params, grads):
+            m, v = self._moments(key, p)
             m *= self.BETA1
             v *= self.BETA2
             m[rows] += (1 - self.BETA1) * g
             temp = np.multiply(1 - self.BETA2, g)
             temp *= g
             v[rows] += temp
-            for start in range(0, len(p.data), self._BLOCK_ROWS):
-                block = slice(start, start + self._BLOCK_ROWS)
+            # a dense piece is one block
+            block_rows = self._BLOCK_ROWS if isinstance(rows, np.ndarray) else max(len(p), 1)
+            for start in range(0, len(p), block_rows):
+                block = slice(start, start + block_rows)
                 temp = np.divide(v[block], c2)
                 np.sqrt(temp, out=temp)
                 temp += self.EPS
                 update = np.divide(m[block], c1)
                 update *= self.lr
                 update /= temp
-                p.data[block] -= update
+                p[block] -= update
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}

@@ -63,15 +63,31 @@ MUTANTS = [
     Mutant("adam-second-moment-decay-with-beta1", "src/tavat/train.py",
            "            v *= self.BETA2\n", "            v *= self.BETA1\n"),
     Mutant("sgd-sign", "src/tavat/train.py",
-           "p.data[rows] -= self.lr * g", "p.data[rows] += self.lr * g"),
+           "p[rows] -= self.lr * g", "p[rows] += self.lr * g"),
     Mutant("sgd-rows-out-of-place", "src/tavat/train.py",
-           "p.data[rows] -= self.lr * g", "p.data[rows] = p.data[rows] - self.lr * g",
+           "p[rows] -= self.lr * g", "p[rows] = p[rows] - self.lr * g",
            equivalent="the same subtraction, written back to the same rows of the same array"),
     Mutant("adam-bias", "src/tavat/train.py",
            "c1 = 1 - self.BETA1 ** self.t", "c1 = 1.0"),
     Mutant("delimited-line-of-record-start", "src/tavat/data.py",
            'f"{path}:{reader.line_num}: unknown label',
            'f"{path}:{len(examples) + 1}: unknown label'),
+    # the flat buffer of the dense parameters and the exact fast paths of narrow rows
+    Mutant("packed-view-offset-by-one", "src/tavat/tensor.py",
+           "        address += a.nbytes\n", "        address += a.nbytes + 8\n"),
+    Mutant("adam-packed-moments-start-at-zero", "src/tavat/train.py",
+           "                        new[name][...] = old[name]\n",
+           "                        pass\n"),
+    Mutant("accumulated-dense-finite-unchecked", "src/tavat/adv.py",
+           "dense_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()",
+           "dense_finite = isinstance(self.sums, Packed)"),
+    Mutant("layer-norm-fast-path-when-any-row-active", "src/tavat/tensor.py",
+           "if not active.all():", "if not active.any():"),
+    Mutant("softmax-max-over-columns", "src/tavat/tensor.py",
+           "np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)",
+           "np.ascontiguousarray(np.moveaxis(x, -2, 0)).max(axis=0)"),
+    Mutant("same-rows-shortcut-by-length", "src/tavat/tensor.py",
+           "if other.rows is self.rows:", "if other.rows.size == self.rows.size:"),
     # the adversary and the perturbation vocabulary
     Mutant("scaling-index-after-the-step", "src/tavat/adv.py",
            "new = scaling_index(p, mask)[:, :, None] * new",

@@ -327,6 +327,116 @@ class TestFiniteDifferenceConsistency:
         _fd_matches(build, [q, k, v])
 
 
+class TestExactFastPaths:
+    """Each rewrite of a per-row cost gives the bits of the expression it replaces,
+    on inputs that run every branch."""
+
+    @staticmethod
+    def softmax_reference(x):
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 5), (4, 7), (6,)])
+    def test_softmax_matches_the_last_axis_max_bitwise(self, shape):
+        """Rows whose maximum is the mask fill, -inf, a zero of either sign among
+        zeros of both signs, or NaN, beside ordinary rows."""
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=shape)
+        rows = x.reshape(-1, shape[-1])
+        if len(rows) > 1:
+            rows[0] = FILL                              # every key masked
+            rows[1] = [-np.inf] * shape[-1]
+        if len(rows) > 4:
+            rows[2] = np.resize([0.0, -0.0], shape[-1])
+            rows[3] = np.resize([-0.0, 0.0, -1.0], shape[-1])
+            rows[4, 1] = np.nan
+        if len(rows) > 5:
+            rows[5, ::2] = FILL                         # some keys masked
+        with np.errstate(invalid="ignore"):
+            got, want = T._softmax(x), self.softmax_reference(x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_layer_norm_with_rows_below_the_variance_floor(self):
+        """Forward bitwise against ``np.mean``'s formula, and the vjp against central
+        differences at c01's tolerance (1e-4 relative above a 1e-8 floor), on ordinary
+        rows, an exactly constant row and a row whose variance is below the floor but
+        not zero, where the vjp must drop the term along y. Probes of the floored rows
+        take a step small enough to stay under the floor."""
+        rng = np.random.default_rng(26)
+        dim = 16
+        a = rng.uniform(-1, 1, size=(2, 4, dim))
+        a[0, 1] = 0.5
+        a[1, 2] = 1.0 + 5e-7 * rng.uniform(-1, 1, size=dim)
+        x = Tensor(a, requires_grad=True)
+        gain = Tensor(rng.uniform(0.5, 1.5, size=dim), requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, size=dim), requires_grad=True)
+        weights = Tensor(rng.uniform(-1, 1, size=a.shape))
+
+        centered = a - a.mean(axis=-1, keepdims=True)
+        var = np.mean(centered * centered, axis=-1, keepdims=True)
+        assert var[0, 1, 0] == 0.0 and 0.0 < var[1, 2, 0] < T.LAYER_NORM_VAR_FLOOR / 4
+        y = centered / np.sqrt(np.maximum(var, T.LAYER_NORM_VAR_FLOOR))
+        out = T.layer_norm(x, gain, bias)
+        assert out.data.tobytes() == (y * gain.data + bias.data).tobytes()
+
+        def loss():
+            return T.reduce_sum(mul(T.layer_norm(x, gain, bias), weights))
+
+        def loss_at(arr):
+            saved = x.data
+            x.data = np.ascontiguousarray(arr)
+            value = loss().item()
+            x.data = saved
+            return value
+
+        grad = backward(loss())[x].reshape(-1)
+        for (b, t), h in (((0, 0), 1e-5), ((1, 3), 1e-5), ((0, 1), 1e-9), ((1, 2), 1e-9)):
+            coords = list(range((b * 4 + t) * dim, (b * 4 + t + 1) * dim))
+            fd = finite_difference_gradient(loss_at, a, coords, h=h)
+            ad = grad[coords]
+            err = np.abs(fd - ad) / np.maximum(np.maximum(np.abs(fd), np.abs(ad)), 1e-8)
+            assert err.max() <= 1e-4, ((b, t), err.max())
+
+    def test_row_gradient_sum_over_shared_rows_is_the_union_sum_bitwise(self):
+        """Two RowGradients holding the same ``rows`` object, as a lookup's replays
+        do, add to what the union path gives for an equal copy of the rows."""
+        rows = np.array([0, 2, 5])
+        a = T.RowGradient(rows, np.array([[-0.0, 1.5], [np.nan, -0.0], [3.0, 0.25]]), (7, 2))
+        b = T.RowGradient(rows, np.array([[-0.0, 0.5], [1.0, 0.0], [-3.0, 1e-300]]), (7, 2))
+        copied = T.RowGradient(rows.copy(), b.values, b.shape)
+        shared = a + b
+        assert shared.rows is rows
+        assert _bits(shared) == _bits(a + copied) == _bits(dense_gradient(a) + dense_gradient(b))
+
+
+class TestPacked:
+    LAYOUT = (("w", (3, 2)), ("b", (2,)), ("g", (1, 4)))
+
+    def test_views_tile_the_flat_buffer_in_layout_order(self):
+        packed = T.Packed(self.LAYOUT)
+        for name, shape in self.LAYOUT:
+            packed[name][...] = len(name) + np.arange(np.prod(shape)).reshape(shape)
+        packed["b"] += 10.0
+        assert packed.flat.tolist() == [1, 2, 3, 4, 5, 6, 11, 12, 1, 2, 3, 4]
+        assert T.packed_buffer([packed[n] for n, _ in self.LAYOUT]) is packed.flat
+
+    def test_a_packed_name_keeps_its_view(self):
+        packed = T.Packed(self.LAYOUT)
+        with pytest.raises(ValueError, match="b is packed"):
+            packed["b"] = np.ones(2)
+        packed["table"] = np.ones(2)        # a name of the caller's own
+        assert T.packed_buffer([packed[n] for n, _ in self.LAYOUT]) is packed.flat
+
+    def test_views_that_do_not_tile_in_order_are_not_packed(self):
+        packed = T.Packed(self.LAYOUT)
+        views = [packed[n] for n, _ in self.LAYOUT]
+        for arrays in (views[::-1], views[:2], [views[0], views[0], views[2]],
+                       [np.ones((3, 2)), *views[1:]], [packed.flat[1:7].reshape(3, 2),
+                                                        *views[1:]]):
+            assert T.packed_buffer(arrays) is None
+
+
 class TestDeterminism:
     def test_bitwise_identical_forward_and_backward(self):
         def run(seed):

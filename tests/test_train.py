@@ -1,4 +1,5 @@
 """Trainer: reproducibility, mode lattice, metrics stream, ablations, CLI."""
+import builtins
 import dataclasses
 import json
 import re
@@ -14,12 +15,13 @@ from tavat.adv import AdvConfig, init_vocabulary
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import Batch, DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ConfigError, ModelConfig, TextModel, load_checkpoint, save_checkpoint
-from tavat.tensor import RowGradient, Tensor
+from tavat.tensor import Packed, RowGradient, Tensor, packed_buffer
 from tavat.train import (Adam, MetricsWriter, Seeds, TrainConfig, config_from_dict,
                          evaluate, format_ablation_table, parse_metrics, run_ablation,
                          train)
 from tavat.vocab import save_vocabulary
 from oracles import dense_gradient
+from test_container import _FailingFile
 from test_golden import load_workloads
 
 
@@ -41,6 +43,39 @@ def quick_config(tmp_path, run_name="run", **adv_overrides):
 # dataset edits; the synthetic tagging tokenizer has 54 ids, and 3 synthetic classes give 62
 TAGGING = {"source": "synthetic-tagging"}
 DELIMITED = {"source": "delimited", "path": None}   # the path of the test's file
+
+
+# a delimited file that every cut of FOREIGN leaves without a label on its last row
+DELIMITED_ROWS = "alpha beta\t0\ngamma delta epsilon\t1\n"
+# what comes in place of a file a command reads: bytes, a function of the valid
+# file's bytes and another format's file, or None for a directory
+FOREIGN = {
+    "empty": b"",
+    "cut-after-one-byte": lambda valid, other: valid[:1],
+    "cut-in-half": lambda valid, other: valid[:len(valid) // 2],
+    "cut-two-bytes-short": lambda valid, other: valid[:-2],
+    "another-format": lambda valid, other: other,
+    "not-utf-8": b"caf\xe9 au lait\t0\n",
+    "json-list": b"[]",
+    "json-string": b'"a"',
+    "json-number": b"3",
+    "directory": None,
+}
+
+
+def pinned_text(role, foreign):
+    """What the error line says right after the path, where the table pins it."""
+    if FOREIGN[foreign] is None:
+        return ": a directory, not a file"
+    if role in ("checkpoint", "vocab"):
+        kind = {"checkpoint": "checkpoint", "vocab": "vocabulary"}[role]
+        if foreign in ("cut-in-half", "cut-two-bytes-short"):
+            return f": truncated or corrupt {kind} ("
+        return f": not a {kind} (bad magic)"
+    if role == "config" and foreign.startswith("json-"):
+        kind = {"json-list": "list", "json-string": "str", "json-number": "int"}[foreign]
+        return f": a config is a JSON object, not a {kind}"
+    return ""
 
 
 def strip_time(records):
@@ -153,6 +188,64 @@ class TestAdam:
                 assert kept.tobytes() == preset[moment][untouched].tobytes()
             if not moments:
                 assert sparse["table"].data[untouched].tobytes() == start[untouched].tobytes()
+
+    @pytest.mark.parametrize("kind", list(train_module.OPTIMIZERS))
+    @pytest.mark.parametrize("packed_grads", [True, False])
+    def test_packed_dense_parameters_step_like_the_per_name_expression_bitwise(
+            self, kind, packed_grads):
+        """A table with a RowGradient beside dense parameters packed in one buffer, as
+        ``TextModel`` packs them, with the dense gradients packed as
+        ``AccumulatedGradient`` sums them or as a plain dict: over four steps every
+        parameter and moment moves exactly as the per-name dense expression moves
+        it, in place. Moments start at the smallest denormals, which the packed
+        moments must take over; gradients and parameters hold -0.0 entries."""
+        rng = np.random.default_rng(34)
+        table_shape = (30, 4)
+        layout = [("w", (4, 6)), ("b", (6,)), ("gain", (4,)), ("head", (6, 2))]
+        dense = Packed(layout)
+        for name, shape in layout:
+            dense[name][...] = rng.uniform(-1, 1, size=shape)
+        dense["w"][0, :2] = -0.0
+        params = {"table": Tensor(rng.uniform(-1, 1, size=table_shape), requires_grad=True),
+                  **{name: Tensor(dense[name], requires_grad=True) for name, _ in layout}}
+        buffers = {n: p.data for n, p in params.items()}
+        tiny = np.nextafter(0.0, 1.0)
+        optimizer = train_module.OPTIMIZERS[kind](self.LR)
+        moments = {}
+        if kind == "adam":
+            for n, p in params.items():
+                moments[n] = (np.resize([tiny, -tiny, 0.0], p.shape),
+                              np.resize([tiny, 0.0], p.shape))
+                optimizer.m[n], optimizer.v[n] = (a.copy() for a in moments[n])
+        expected = {n: (*moments.get(n, (None, None)), p.data.copy())
+                    for n, p in params.items()}
+        for t in range(1, 5):
+            rows = np.array([0, 3, 4, 17, 29]) if t % 2 else np.array([1, 3])
+            values = rng.normal(size=(rows.size, table_shape[1]))
+            values[0, 1] = -0.0
+            draws = {name: rng.normal(scale=10.0 ** -t, size=shape) for name, shape in layout}
+            grads = (Packed(layout, np.concatenate([d.reshape(-1) for d in draws.values()]))
+                     if packed_grads else draws)
+            grads["b"][2] = -0.0
+            grads["table"] = RowGradient(rows, values, table_shape)
+            if packed_grads:
+                assert len(train_module._Pieces()(params, grads)) == 2    # table, dense
+            optimizer.step(params, grads)
+            for n, p in params.items():
+                m, v, before = expected[n]
+                g = dense_gradient(grads[n])
+                if kind == "adam":
+                    m, v, want = self.dense_step(m, v, before, g, t, self.LR)
+                    assert optimizer.m[n].tobytes() == m.tobytes(), (t, n)
+                    assert optimizer.v[n].tobytes() == v.tobytes(), (t, n)
+                else:
+                    want = before - self.LR * g
+                expected[n] = (m, v, want)
+                assert p.data.tobytes() == want.tobytes(), (t, n)
+                assert p.data is buffers[n]
+        if kind == "adam" and packed_grads:
+            for state in (optimizer.m, optimizer.v):
+                assert packed_buffer([state[n] for n, _ in layout]) is not None
 
     def test_table_step_allocates_no_table_sized_array(self):
         """Once the moments exist, a step over a 2 MB table and its RowGradient
@@ -663,31 +756,79 @@ class TestCLI:
             f"{foreign}: vocab_size 40 != dataset tokenizer 56: the checkpoint was trained "
             f"on another vocabulary")
 
-    def test_evaluate_refuses_a_truncated_checkpoint(self, tmp_path, capsys):
-        config, path = self.write_config(tmp_path, run_name="cut")
-        cut = tmp_path / "cut.bin"
-        save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), cut)
-        cut.write_bytes(cut.read_bytes()[:-8])
+    @pytest.mark.parametrize("foreign", sorted(FOREIGN))
+    @pytest.mark.parametrize("command, role", [
+        ("train", "config"), ("evaluate", "config"), ("ablate", "config"),
+        ("evaluate", "checkpoint"), ("export-vocab", "checkpoint"),
+        ("export-vocab", "vocab"), ("train", "vocab"), ("ablate", "vocab"),
+        ("train", "dataset"), ("evaluate", "dataset"), ("ablate", "dataset"),
+    ])
+    def test_foreign_input_exits_with_one_line_naming_the_file(self, tmp_path, capsys,
+                                                               command, role, foreign):
+        """Every file a command reads, in place of which comes a file that is not
+        one (``FOREIGN``), ends the command with exit status 2 and one error line
+        that begins with the file's path and, where ``pinned_text`` gives it, the
+        reason, before anything is written."""
+        config, config_path = self.write_config(tmp_path, run_name="foreign")
+        valid = {"config": config_path, "checkpoint": tmp_path / "model.bin",
+                 "vocab": tmp_path / "vocab.bin", "dataset": tmp_path / "data.tsv"}
+        save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)),
+                        valid["checkpoint"])
+        save_vocabulary(init_vocabulary(config.model.vocab_size, config.model.dim, 0.01,
+                                        np.random.default_rng(0)), valid["vocab"])
+        valid["dataset"].write_text(DELIMITED_ROWS, encoding="utf-8")
+        delimited = tmp_path / "delimited.json"
+        raw = config.to_dict()
+        raw["model"] = None
+        raw["dataset"].update(source="delimited", path=str(tmp_path / "foreign"))
+        delimited.write_text(json.dumps(raw), encoding="utf-8")
+
+        target = tmp_path / "foreign"
+        make = FOREIGN[foreign]
+        if make is None:
+            target.mkdir()
+        else:
+            other = valid["vocab" if role == "checkpoint" else "checkpoint"].read_bytes()
+            target.write_bytes(make(valid[role].read_bytes(), other)
+                               if callable(make) else make)
+        argv = {
+            "config": [command, "--config", str(target)]
+            + (["--checkpoint", str(valid["checkpoint"])] if command == "evaluate" else []),
+            "checkpoint": (["evaluate", "--checkpoint", str(target), "--config", str(config_path)]
+                           if command == "evaluate" else
+                           ["export-vocab", "--checkpoint", str(target),
+                            "--vocab", str(valid["vocab"]), "--out", str(tmp_path / "out.bin")]),
+            "vocab": (["export-vocab", "--checkpoint", str(valid["checkpoint"]),
+                       "--vocab", str(target), "--out", str(tmp_path / "out.bin")]
+                      if command == "export-vocab" else
+                      [command, "--config", str(config_path),
+                       "--init-embedding-from-vocab", str(target)]),
+            "dataset": [command, "--config", str(delimited)]
+            + (["--checkpoint", str(valid["checkpoint"])] if command == "evaluate" else []),
+        }[role]
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exited:
-            cli_main(["evaluate", "--checkpoint", str(cut), "--config", str(path)])
+            cli_main(argv)
         assert exited.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"tavat evaluate: error: {cut}: truncated or corrupt checkpoint")
-        assert err.count("\n") == 1
+        assert err.startswith(f"tavat {command}: error: {target}") and err.count("\n") == 1, err
+        assert err.startswith(f"tavat {command}: error: {target}{pinned_text(role, foreign)}")
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
-    def test_vocabulary_flags_refuse_a_file_that_is_not_one(self, tmp_path, capsys):
-        """export-vocab and a warm start name the file; the run directory is never made."""
-        config, path = self.write_config(tmp_path, run_name="notvocab")
-        checkpoint = tmp_path / "model.bin"
+    def test_export_vocab_out_that_is_a_directory_exits_with_one_error_line(self, tmp_path,
+                                                                            capsys):
+        config, _ = self.write_config(tmp_path, run_name="outdir")
+        checkpoint, vocab, out = tmp_path / "model.bin", tmp_path / "vocab.bin", tmp_path / "out"
         save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)), checkpoint)
-        message = f"{checkpoint}: not a vocabulary (bad magic)"
+        save_vocabulary(init_vocabulary(config.model.vocab_size, config.model.dim, 0.01,
+                                        np.random.default_rng(0)), vocab)
+        out.mkdir()
         self.assert_refused(capsys, ["export-vocab", "--checkpoint", str(checkpoint),
-                                     "--vocab", str(checkpoint),
-                                     "--out", str(tmp_path / "merged.bin")], message)
-        self.assert_refused(capsys, ["train", "--config", str(path),
-                                     "--init-embedding-from-vocab", str(checkpoint)], message)
-        assert not (tmp_path / "merged.bin").exists()
-        assert not config.resolved_out_dir().exists()
+                                     "--vocab", str(vocab), "--out", str(out)],
+                            f"{out}: a directory, not a file")
+        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "model.bin", "out", "vocab.bin"]
 
     @pytest.mark.parametrize("argv", [
         ["train", "--config", "{missing}"],
@@ -854,6 +995,35 @@ class TestCLI:
         table = config.resolved_out_dir() / "ablation-table6.json"
         assert table.exists() and len(json.loads(table.read_text())) == 3
 
+    def test_ablate_table_write_failing_midway_keeps_the_previous_table(
+            self, tmp_path, capsys, monkeypatch):
+        """The table goes through the same temp file, fsync and rename as a
+        checkpoint: a write that fails after half the old table's bytes, as on a
+        full disk, leaves the old table whole and no temp file beside it."""
+        config, path = self.write_config(tmp_path, run_name="atomic")
+        row = {"ptb_vocab": True, "tok_norm": True, "per_seed": [0.5], "mean": 0.5, "std": 0.0}
+        tables = iter([[row] * 4, [{**row, "mean": 0.25}] * 40])
+        monkeypatch.setattr(cli_module, "run_ablation", lambda *args, **kwargs: next(tables))
+        argv = ["ablate", "--config", str(path)]
+        assert cli_main(argv) == 0
+        table = config.resolved_out_dir() / "ablation-table5.json"
+        first = table.read_bytes()
+        assert json.loads(first) == [row] * 4
+
+        real_open = builtins.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _FailingFile(fh, len(first) // 2) if "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        with pytest.raises(OSError, match="injected"):
+            cli_main(argv)
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert table.read_bytes() == first
+        assert [p.name for p in table.parent.iterdir()] == [table.name]
+
     def test_flags_checked_like_config_fields(self, tmp_path, capsys):
         config, path = self.write_config(tmp_path, run_name="badflag")
         with pytest.raises(SystemExit) as exited:
@@ -887,23 +1057,6 @@ class TestCLI:
         assert exited.value.code == 2
         assert capsys.readouterr().err == f"tavat {command}: error: {path}: {message}\n"
         assert not config.resolved_out_dir().exists()
-
-    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
-    @pytest.mark.parametrize("text, kind", [("[]", "list"), ('"a"', "str"), ("3", "int")])
-    def test_config_that_is_not_an_object_exits_with_one_error_line(self, tmp_path, capsys,
-                                                                    command, text, kind):
-        """A config file holding JSON other than an object is refused, not read as
-        an empty config or failed on by the first flag written into it."""
-        path = tmp_path / "config.json"
-        path.write_text(text, encoding="utf-8")
-        extra = (["--checkpoint", str(tmp_path / "absent.bin")] if command == "evaluate"
-                 else ["--epochs", "0", "--out-dir", str(tmp_path / "runs")])
-        with pytest.raises(SystemExit) as exited:
-            cli_main([command, "--config", str(path), *extra])
-        assert exited.value.code == 2
-        assert capsys.readouterr().err == (
-            f"tavat {command}: error: {path}: a config is a JSON object, not a {kind}\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_refused_flag_exits_with_one_error_line(self, tmp_path, capsys, command):
