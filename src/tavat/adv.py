@@ -109,28 +109,33 @@ class AdvConfig:
 class AccumulatedGradient:
     """Running parameter-gradient sum over the inner steps.
 
-    The dense gradients sum in place in one ``Packed`` buffer, so the sum,
-    the finite check and the optimizer's update each run once over it; a
-    table's entry stays a ``RowGradient``, which the optimizer takes as it is.
+    With ``params``, a model's ``Packed`` dense parameters, their gradients
+    sum in place in one ``Packed`` buffer of the same layout, so the sum, the
+    finite check and the optimizer's update each run once over it. Any other
+    entry sums by name; a table's stays a ``RowGradient``, which the optimizer
+    takes as it is.
     """
 
+    params: Packed | None = None
     sums: dict = field(default_factory=dict)
 
     def add(self, named_grads, weight: float) -> None:
-        named = list(named_grads)
-        dense = [(name, g) for name, g in named if not isinstance(g, T.RowGradient)]
-        # w * g for every dense name at once: 0.0 + w * g at the first step, s + w * g after
-        terms = np.concatenate([g.reshape(-1) for _, g in dense] or [np.zeros(0)])
-        terms *= weight
-        if self.sums:
-            self.sums.flat += terms
-        else:
-            terms += 0.0
-            self.sums = Packed(((name, g.shape) for name, g in dense), terms)
-        for name, g in named:
-            if isinstance(g, T.RowGradient):
-                # a RowGradient's rows are summed anew
-                self.sums[name] = self.sums.get(name, 0.0) + weight * g
+        rest = dict(named_grads)
+        if self.params is not None:
+            # w * g for every packed name at once: 0.0 + w * g at the first step, s + w * g after
+            terms = np.concatenate([rest.pop(name).reshape(-1) for name in self.params])
+            terms *= weight
+            if self.sums:
+                self.sums.flat += terms
+            else:
+                terms += 0.0
+                self.sums = Packed(self.params.layout, terms, of=self.params)
+        for name, g in rest.items():
+            if name in self.sums:
+                # in place for an ndarray; a RowGradient's rows are summed anew
+                self.sums[name] += weight * g
+            else:
+                self.sums[name] = 0.0 + weight * g
 
     def replace(self, named_grads) -> None:
         # kept as they are: backward and the optimizers only read a gradient
@@ -139,13 +144,14 @@ class AccumulatedGradient:
     def check_finite(self, names) -> None:
         """Raise NonFiniteGradient naming the first of ``names`` whose sum has
         a NaN or an infinity."""
-        dense_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()
+        packed_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()
         for name in names:
             g = self.sums[name]
             if isinstance(g, T.RowGradient):
-                _check_finite(f"accumulated gradient of {name}", g.values)
-            elif not dense_finite:
-                _check_finite(f"accumulated gradient of {name}", g)
+                g = g.values
+            elif packed_finite and name in self.params:
+                continue
+            _check_finite(f"accumulated gradient of {name}", g)
 
 
 @dataclass
@@ -325,7 +331,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         eta = (gather(vocab, ids, mask) if cfg.use_vocab
                else init_delta(shape, cfg.sigma, mask, rng))
 
-    accum = AccumulatedGradient()
+    accum = AccumulatedGradient(model.dense)
     inv_k = 1.0 / cfg.K
     losses: list[float] = []
 

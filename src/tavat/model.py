@@ -118,6 +118,9 @@ class TextModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
                  params: dict[str, Tensor] | None = None):
         self.config = config
+        # the dense parameters' Packed buffer when _init_params drew them; a
+        # model of explicit params (a loaded checkpoint, a snapshot) keeps them apart
+        self.dense: T.Packed | None = None
         if params is not None:
             self.params = params
         else:
@@ -127,12 +130,12 @@ class TextModel:
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
         """Drawn in ``param_shapes`` order; the dense parameters (all but the
-        lookup tables) are views of one ``Packed`` buffer, so an optimizer
-        updates them in one pass."""
+        lookup tables) are views of ``self.dense``, so an optimizer updates them
+        in one pass."""
         cfg = self.config
         params: dict[str, Tensor] = {}
-        dense = T.Packed((name, shape) for name, shape in param_shapes(cfg)
-                         if name not in LOOKUP_TABLES)
+        self.dense = dense = T.Packed((name, shape) for name, shape in param_shapes(cfg)
+                                      if name not in LOOKUP_TABLES)
         for name, shape in param_shapes(cfg):
             if name == "embedding.weight":
                 # token rows land near unit norm, the regime the perturbation

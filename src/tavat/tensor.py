@@ -292,15 +292,6 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
 LAYER_NORM_VAR_FLOOR = 1e-12
 
 
-def _row_mean(a: np.ndarray) -> np.ndarray:
-    """``a.mean(axis=-1, keepdims=True)`` bit for bit: the same pairwise
-    ``add.reduce``, then the same divide by the count, without ``np.mean``'s
-    Python-level bookkeeping, which costs more than the arithmetic on 16-wide rows."""
-    out = np.add.reduce(a, axis=-1, keepdims=True)
-    out /= a.shape[-1]
-    return out
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
     """Normalize the last axis of ``a + residual`` (or of ``a`` alone).
 
@@ -319,8 +310,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
             raise ShapeError(f"layer_norm: residual {residual.shape} does not match {a.shape}")
         x = a.data + residual.data
         parents = (a, gain, bias, residual)
-    centered = x - _row_mean(x)
-    var = _row_mean(centered * centered)
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
     active = var > LAYER_NORM_VAR_FLOOR
     std = np.sqrt(np.maximum(var, LAYER_NORM_VAR_FLOOR))
     y = centered / std
@@ -332,10 +324,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
         dgain = (g * y).reshape(-1, dim).sum(axis=0)
         dbias = g.reshape(-1, dim).sum(axis=0)
         dy = g * gain_data
-        along_y = y * _row_mean(dy * y)
-        if not active.all():    # else the where would change nothing
-            along_y = np.where(active, along_y, 0.0)
-        da = (dy - _row_mean(dy) - along_y) / std
+        mean_dy = dy.mean(axis=-1, keepdims=True)
+        mean_dyy = (dy * y).mean(axis=-1, keepdims=True)
+        da = (dy - mean_dy - np.where(active, y * mean_dyy, 0.0)) / std
         return (da, dgain, dbias, da)[:arity]
 
     return _track(out, parents, vjp, "layer_norm")
@@ -463,12 +454,16 @@ class Packed(dict):
     float64 buffer, ``flat``, in the order of ``layout``, its (name, shape)
     pairs; so one ufunc call over ``flat`` does the work of one per name.
     A packed name keeps its view, so values go in through it, in place;
-    names added later are the caller's own, outside the buffer.
+    names added later are the caller's own, outside the buffer. ``of`` is the
+    ``Packed`` of parameters whose gradients these are, when they are, as
+    ``adv.AccumulatedGradient`` sums a ``TextModel``'s: an optimizer then
+    steps the two buffers as one piece.
     """
 
-    def __init__(self, layout, flat: np.ndarray | None = None):
+    def __init__(self, layout, flat: np.ndarray | None = None, of: Packed | None = None):
         super().__init__()
         self.layout = tuple(layout)
+        self.of = of
         sizes = [math.prod(shape) for _, shape in self.layout]
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
         start = 0
@@ -482,22 +477,6 @@ class Packed(dict):
         if name in self._packed and value is not self[name]:
             raise ValueError(f"{name} is packed: assign into its view, not over it")
         super().__setitem__(name, value)
-
-
-def packed_buffer(arrays) -> np.ndarray | None:
-    """The flat float64 buffer that ``arrays`` tile, each a C-contiguous view
-    of the run after the one before, or None when they do not."""
-    base = arrays[0].base if arrays else None
-    if (base is None or base.ndim != 1 or base.dtype != np.float64
-            or sum(a.size for a in arrays) != base.size):
-        return None
-    address = base.__array_interface__["data"][0]
-    for a in arrays:
-        if (a.base is not base or a.dtype != np.float64 or not a.flags.c_contiguous
-                or a.__array_interface__["data"][0] != address):
-            return None
-        address += a.nbytes
-    return base
 
 
 def _check_ids(what: str, ids: np.ndarray, n: int) -> None:

@@ -13,7 +13,6 @@ import ctypes
 import dataclasses
 import json
 import math
-import operator
 import os
 import re
 import time
@@ -29,49 +28,32 @@ from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1, tagging_tag_names)
 from .model import (ConfigError, ModelConfig, TextModel, _check_ints, _is_real,
                     require_file, save_checkpoint)
-from .tensor import Packed, RowGradient, Tensor, packed_buffer
+from .tensor import Packed, RowGradient, Tensor
 from .vocab import apply_to_embedding, load_vocabulary, save_vocabulary
 
 METRICS_SCHEMA = 1
 
 
-class _Pieces:
+def _pieces(params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGradient]):
     """What an optimizer step walks: (key, parameter array, rows, gradient)
     per piece, where ``rows`` indexes the rows the gradient may be nonzero on.
 
-    A table's RowGradient is its own piece, its ``rows`` and ``values`` as
-    they are. The dense parameters are one piece over their ``Packed``
-    buffer, keyed by its layout, when ``TextModel`` packed them and the
-    gradients come packed the same way, as ``AccumulatedGradient`` sums
-    them; otherwise each is a piece of its own, keyed by name. Which
-    parameter arrays tile one buffer is found once and then checked by
-    identity on every step.
+    When ``grads`` is a ``Packed`` sum whose ``of`` is the ``Packed`` that the
+    dense arrays of ``params`` are views of, as ``AccumulatedGradient`` sums a
+    ``TextModel``'s, those parameters are one piece over the two buffers,
+    keyed by the layout. Every other parameter is a piece of its own, keyed by
+    name: a table's RowGradient with its ``rows`` and ``values`` as they are.
     """
-
-    def __init__(self):
-        self._views: tuple = ()
-        self._flat: np.ndarray | None = None
-        self._layout: tuple = ()
-
-    def __call__(self, params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGradient]):
-        pieces, dense = [], []
-        for name, p in params.items():
+    of = getattr(grads, "of", None)
+    if of is not None and not all(params[name].data is view for name, view in of.items()):
+        of = None
+    pieces = [] if of is None else [(of.layout, of.flat, slice(None), grads.flat)]
+    for name, p in params.items():
+        if of is None or name not in of:
             g = grads[name]
-            if isinstance(g, RowGradient):
-                pieces.append((name, p.data, g.rows, g.values))
-            else:
-                dense.append((name, p.data))
-        views = tuple(data for _, data in dense)
-        if len(views) != len(self._views) or not all(map(operator.is_, views, self._views)):
-            self._views = views
-            self._flat = packed_buffer(views)
-            self._layout = tuple((name, data.shape) for name, data in dense)
-        if (self._flat is not None and isinstance(grads, Packed)
-                and grads.layout == self._layout):
-            pieces.append((self._layout, self._flat, slice(None), grads.flat))
-        else:
-            pieces += [(name, data, slice(None), grads[name]) for name, data in dense]
-        return pieces
+            rows, g = (g.rows, g.values) if isinstance(g, RowGradient) else (slice(None), g)
+            pieces.append((name, p.data, rows, g))
+    return pieces
 
 
 class SGD:
@@ -80,11 +62,10 @@ class SGD:
 
     def __init__(self, lr: float):
         self.lr = lr
-        self._pieces = _Pieces()
 
     def step(self, params: dict[str, Tensor],
              grads: dict[str, np.ndarray | RowGradient]) -> None:
-        for _, p, rows, g in self._pieces(params, grads):
+        for _, p, rows, g in _pieces(params, grads):
             p[rows] -= self.lr * g
 
 
@@ -111,7 +92,6 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self._pieces = _Pieces()
         self._packed: tuple = (None, None, None)    # layout, m and v buffers
 
     def _moments(self, key, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +117,7 @@ class Adam:
         self.t += 1
         c1 = 1 - self.BETA1 ** self.t
         c2 = 1 - self.BETA2 ** self.t
-        for key, p, rows, g in self._pieces(params, grads):
+        for key, p, rows, g in _pieces(params, grads):
             m, v = self._moments(key, p)
             m *= self.BETA1
             v *= self.BETA2

@@ -36,6 +36,18 @@ class Mutant:
     equivalent: str | None = None       # why no test can tell it apart, if none can
 
 
+CONFIG_CHECK = (
+    '        if not isinstance(raw, dict):\n'
+    '            raise ValueError(f"a config is a JSON object, not a {type(raw).__name__}")\n')
+CONFIG_FLAGS = (
+    '        for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",\n'
+    '                     "init_embedding_from_vocab"):\n'
+    '            value = getattr(args, name, None)\n'
+    '            if value is not None:\n'
+    '                raw[name] = value\n'
+    '        if getattr(args, "mode", None):\n'
+    '            raw["adv"] = {**raw.get("adv", {}), **MODES[args.mode]}\n')
+
 MUTANTS = [
     # the whole-run errors that only the golden bytes caught before the padding
     # and epoch-order oracles
@@ -69,20 +81,24 @@ MUTANTS = [
            equivalent="the same subtraction, written back to the same rows of the same array"),
     Mutant("adam-bias", "src/tavat/train.py",
            "c1 = 1 - self.BETA1 ** self.t", "c1 = 1.0"),
+    # the object check below the flag loop: a JSON list fails on the first flag written
+    Mutant("config-object-check-after-flags", "src/tavat/cli.py",
+           CONFIG_CHECK + CONFIG_FLAGS, CONFIG_FLAGS + CONFIG_CHECK),
     Mutant("delimited-line-of-record-start", "src/tavat/data.py",
            'f"{path}:{reader.line_num}: unknown label',
            'f"{path}:{len(examples) + 1}: unknown label'),
     # the flat buffer of the dense parameters and the exact fast paths of narrow rows
     Mutant("packed-view-offset-by-one", "src/tavat/tensor.py",
-           "        address += a.nbytes\n", "        address += a.nbytes + 8\n"),
+           "            start += size\n", "            start += size - 1\n"),
     Mutant("adam-packed-moments-start-at-zero", "src/tavat/train.py",
            "                        new[name][...] = old[name]\n",
            "                        pass\n"),
-    Mutant("accumulated-dense-finite-unchecked", "src/tavat/adv.py",
-           "dense_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()",
-           "dense_finite = isinstance(self.sums, Packed)"),
-    Mutant("layer-norm-fast-path-when-any-row-active", "src/tavat/tensor.py",
-           "if not active.all():", "if not active.any():"),
+    Mutant("accumulated-packed-finite-unchecked", "src/tavat/adv.py",
+           "packed_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()",
+           "packed_finite = isinstance(self.sums, Packed)"),
+    Mutant("optimizer-packed-piece-without-identity-check", "src/tavat/train.py",
+           "if of is not None and not all(params[name].data is view for name, view in of.items()):",
+           "if False:"),
     Mutant("softmax-max-over-columns", "src/tavat/tensor.py",
            "np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)",
            "np.ascontiguousarray(np.moveaxis(x, -2, 0)).max(axis=0)"),

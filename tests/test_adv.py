@@ -10,10 +10,10 @@ from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPo
                        example_norms, init_delta, init_vocabulary, instance_step,
                        project_frobenius, scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
-from tavat.model import ModelConfig, TextModel
+from tavat.model import LOOKUP_TABLES, ModelConfig, TextModel
 from tavat import tensor as T
 from tavat.tensor import RowGradient, backward
-from tavat.train import SGD, Adam, _step_record
+from tavat.train import SGD, Adam, _pieces, _step_record
 from oracles import dense_gradient, reference_freelb_step, token_step_reference
 from stepwatch import RecordingOptimizer, Trajectory
 
@@ -486,6 +486,24 @@ class TestBatchStep:
                 recomputed[name] = recomputed[name] + dense_gradient(grads[p]) / cfg.K
         for name in recomputed:
             assert np.abs(dense_gradient(optimizer.grads[name]) - recomputed[name]).max() <= 1e-10
+
+    def test_drawn_dense_parameters_reach_the_optimizer_as_one_piece(self):
+        """A drawn model's dense parameters are views of ``model.dense``; the batch
+        step sums their gradients into a ``Packed`` of that buffer, so the optimizer
+        steps them as one piece beside the lookup tables, and Adam's moments of
+        them share one buffer too."""
+        tok, batch = make_batch()
+        model = make_model(tok, seed=3)
+        cfg = AdvConfig(mode="freelb", use_vocab=False, use_token_norm=False, K=2)
+        optimizer = RecordingOptimizer(Adam(0.01))
+        tavat_batch_step(model, batch, None, cfg, optimizer, np.random.default_rng(4))
+        assert optimizer.grads.of is model.dense
+        assert [key for key, *_ in _pieces(model.params, optimizer.grads)] == [
+            model.dense.layout, *(name for name in LOOKUP_TABLES if name in model.params)]
+        for state in (optimizer.inner.m, optimizer.inner.v):
+            base = state["head.weight"].base
+            assert base.size == model.dense.flat.size
+            assert all(state[name].base is base for name in model.dense)
 
     def test_abort_leaves_params_and_vocab_untouched(self):
         tok, batch = make_batch()

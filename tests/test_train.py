@@ -15,7 +15,7 @@ from tavat.adv import AdvConfig, init_vocabulary
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import Batch, DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ConfigError, ModelConfig, TextModel, load_checkpoint, save_checkpoint
-from tavat.tensor import Packed, RowGradient, Tensor, packed_buffer
+from tavat.tensor import Packed, RowGradient, Tensor
 from tavat.train import (Adam, MetricsWriter, Seeds, TrainConfig, config_from_dict,
                          evaluate, format_ablation_table, parse_metrics, run_ablation,
                          train)
@@ -190,15 +190,18 @@ class TestAdam:
                 assert sparse["table"].data[untouched].tobytes() == start[untouched].tobytes()
 
     @pytest.mark.parametrize("kind", list(train_module.OPTIMIZERS))
-    @pytest.mark.parametrize("packed_grads", [True, False])
+    @pytest.mark.parametrize("grads_form", ["packed-of-params", "packed-of-other-params",
+                                            "packed-alone", "dict"])
     def test_packed_dense_parameters_step_like_the_per_name_expression_bitwise(
-            self, kind, packed_grads):
+            self, kind, grads_form):
         """A table with a RowGradient beside dense parameters packed in one buffer, as
         ``TextModel`` packs them, with the dense gradients packed as
-        ``AccumulatedGradient`` sums them or as a plain dict: over four steps every
-        parameter and moment moves exactly as the per-name dense expression moves
-        it, in place. Moments start at the smallest denormals, which the packed
-        moments must take over; gradients and parameters hold -0.0 entries."""
+        ``AccumulatedGradient`` sums them (naming the parameters' buffer as ``of``),
+        packed with another buffer of the same layout as ``of``, packed without
+        ``of``, or a plain dict: over four steps every parameter and
+        moment moves exactly as the per-name dense expression moves it, in place.
+        Moments start at the smallest denormals, which the packed moments must take
+        over; gradients and parameters hold -0.0 entries."""
         rng = np.random.default_rng(34)
         table_shape = (30, 4)
         layout = [("w", (4, 6)), ("b", (6,)), ("gain", (4,)), ("head", (6, 2))]
@@ -224,12 +227,15 @@ class TestAdam:
             values = rng.normal(size=(rows.size, table_shape[1]))
             values[0, 1] = -0.0
             draws = {name: rng.normal(scale=10.0 ** -t, size=shape) for name, shape in layout}
-            grads = (Packed(layout, np.concatenate([d.reshape(-1) for d in draws.values()]))
-                     if packed_grads else draws)
+            flat = np.concatenate([d.reshape(-1) for d in draws.values()])
+            grads = {"packed-of-params": lambda: Packed(layout, flat, of=dense),
+                     "packed-of-other-params": lambda: Packed(layout, flat, of=Packed(layout)),
+                     "packed-alone": lambda: Packed(layout, flat),
+                     "dict": lambda: draws}[grads_form]()
             grads["b"][2] = -0.0
             grads["table"] = RowGradient(rows, values, table_shape)
-            if packed_grads:
-                assert len(train_module._Pieces()(params, grads)) == 2    # table, dense
+            pieces = train_module._pieces(params, grads)
+            assert len(pieces) == (2 if grads_form == "packed-of-params" else 5)
             optimizer.step(params, grads)
             for n, p in params.items():
                 m, v, before = expected[n]
@@ -243,9 +249,11 @@ class TestAdam:
                 expected[n] = (m, v, want)
                 assert p.data.tobytes() == want.tobytes(), (t, n)
                 assert p.data is buffers[n]
-        if kind == "adam" and packed_grads:
+        if kind == "adam" and grads_form == "packed-of-params":
             for state in (optimizer.m, optimizer.v):
-                assert packed_buffer([state[n] for n, _ in layout]) is not None
+                base = state["w"].base
+                assert base.size == dense.flat.size
+                assert all(state[n].base is base for n, _ in layout)
 
     def test_table_step_allocates_no_table_sized_array(self):
         """Once the moments exist, a step over a 2 MB table and its RowGradient
@@ -768,7 +776,8 @@ class TestCLI:
         """Every file a command reads, in place of which comes a file that is not
         one (``FOREIGN``), ends the command with exit status 2 and one error line
         that begins with the file's path and, where ``pinned_text`` gives it, the
-        reason, before anything is written."""
+        reason, before anything is written. A config is refused before any flag
+        is written into it, and before the checkpoint is opened."""
         config, config_path = self.write_config(tmp_path, run_name="foreign")
         valid = {"config": config_path, "checkpoint": tmp_path / "model.bin",
                  "vocab": tmp_path / "vocab.bin", "dataset": tmp_path / "data.tsv"}
@@ -792,8 +801,10 @@ class TestCLI:
             target.write_bytes(make(valid[role].read_bytes(), other)
                                if callable(make) else make)
         argv = {
+            # flags that write into the config, or a checkpoint that is never reached
             "config": [command, "--config", str(target)]
-            + (["--checkpoint", str(valid["checkpoint"])] if command == "evaluate" else []),
+            + (["--checkpoint", str(tmp_path / "absent.bin")] if command == "evaluate"
+               else ["--epochs", "0", "--out-dir", str(tmp_path / "runs")]),
             "checkpoint": (["evaluate", "--checkpoint", str(target), "--config", str(config_path)]
                            if command == "evaluate" else
                            ["export-vocab", "--checkpoint", str(target),
