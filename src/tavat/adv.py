@@ -105,53 +105,49 @@ class AdvConfig:
         return self.use_vocab or self.use_token_norm
 
 
-@dataclass
 class AccumulatedGradient:
-    """Running parameter-gradient sum over the inner steps.
+    """Running parameter-gradient sum over the inner steps, as one ``Packed``.
 
-    With ``params``, a model's ``Packed`` dense parameters, their gradients
-    sum in place in one ``Packed`` buffer of the same layout, so the sum, the
-    finite check and the optimizer's update each run once over it. Any other
-    entry sums by name; a table's stays a ``RowGradient``, which the optimizer
-    takes as it is.
+    The gradients of the parameters named in ``layout``, a model's
+    ``dense.layout``, go into the sum's flat buffer, so the sum, the finite
+    check and the optimizer's update each run once over it. A lookup table's
+    gradient sums by name; a RowGradient stays one, which the optimizer takes
+    as it is.
     """
 
-    params: Packed | None = None
-    sums: dict = field(default_factory=dict)
+    def __init__(self, layout):
+        self.layout = tuple(layout)
+        self.sums = Packed(self.layout)
+
+    def _split(self, named_grads) -> tuple[np.ndarray, dict]:
+        """The packed names' gradients as one flat array, and the rest by name."""
+        rest = dict(named_grads)
+        return np.concatenate([rest.pop(name).reshape(-1) for name, _ in self.layout]), rest
 
     def add(self, named_grads, weight: float) -> None:
-        rest = dict(named_grads)
-        if self.params is not None:
-            # w * g for every packed name at once: 0.0 + w * g at the first step, s + w * g after
-            terms = np.concatenate([rest.pop(name).reshape(-1) for name in self.params])
-            terms *= weight
-            if self.sums:
-                self.sums.flat += terms
-            else:
-                terms += 0.0
-                self.sums = Packed(self.params.layout, terms, of=self.params)
+        # s + w * g for every gradient; from the sums' +0.0, the first is 0.0 + w * g
+        terms, rest = self._split(named_grads)
+        terms *= weight
+        self.sums.flat += terms
         for name, g in rest.items():
-            if name in self.sums:
-                # in place for an ndarray; a RowGradient's rows are summed anew
-                self.sums[name] += weight * g
-            else:
-                self.sums[name] = 0.0 + weight * g
+            self.sums[name] = self.sums.get(name, 0.0) + weight * g
 
     def replace(self, named_grads) -> None:
-        # kept as they are: backward and the optimizers only read a gradient
-        self.sums = dict(named_grads)
+        # the gradients as they are: backward and the optimizers only read them
+        terms, rest = self._split(named_grads)
+        self.sums = Packed(self.layout, terms)
+        self.sums.update(rest)
 
     def check_finite(self, names) -> None:
         """Raise NonFiniteGradient naming the first of ``names`` whose sum has
         a NaN or an infinity."""
-        packed_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()
+        # one pass clears every packed name; only a failing one reads them by name
+        cleared = {name for name, _ in self.layout} if np.isfinite(self.sums.flat).all() else ()
         for name in names:
-            g = self.sums[name]
-            if isinstance(g, T.RowGradient):
-                g = g.values
-            elif packed_finite and name in self.params:
-                continue
-            _check_finite(f"accumulated gradient of {name}", g)
+            if name not in cleared:
+                g = self.sums[name]
+                _check_finite(f"accumulated gradient of {name}",
+                              g.values if isinstance(g, T.RowGradient) else g)
 
 
 @dataclass
@@ -331,7 +327,7 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
         eta = (gather(vocab, ids, mask) if cfg.use_vocab
                else init_delta(shape, cfg.sigma, mask, rng))
 
-    accum = AccumulatedGradient(model.dense)
+    accum = AccumulatedGradient(model.dense.layout)
     inv_k = 1.0 / cfg.K
     losses: list[float] = []
 
@@ -371,6 +367,6 @@ def tavat_batch_step(model, batch, vocab: PerturbationVocabulary | None,
     if cfg.use_vocab:
         scatter(vocab, ids, mask, eta, special_token_policy=cfg.special_token_policy,
                 epsilon=cfg.epsilon)
-    optimizer.step(model.params, accum.sums)
+    optimizer.step(model, accum.sums)
 
     return StepReport(losses=losses, delta=delta, eta=eta)

@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .container import replace_atomically
 from .data import DatasetFormatError, build_dataset, encode_examples, make_batches
-from .model import (CheckpointFormatError, ConfigError, load_checkpoint, require_file,
-                    save_checkpoint)
+from .model import (CheckpointFormatError, ConfigError, load_checkpoint, read_utf8,
+                    require_directory, require_file, save_checkpoint)
 from .train import (OPTIMIZERS, TrainConfig, check_head, check_positional, config_from_dict,
                     evaluate, format_ablation_table, run_ablation, train)
 from .vocab import VocabularyFormatError, apply_to_embedding, load_vocabulary
@@ -36,14 +35,20 @@ MODES = {
 }
 
 
+# what json.loads gives for each JSON value but an object, by its JSON name
+JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+              bool: "a boolean", type(None): "null"}
+
+
 def _load_config(args) -> TrainConfig:
     """The command's config; anything that refuses building it is a ConfigError."""
     if args.config:
         require_file(args.config)
+        text = read_utf8(args.config, ConfigError)
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+        raw = json.loads(text) if args.config else {}
         if not isinstance(raw, dict):
-            raise ValueError(f"a config is a JSON object, not a {type(raw).__name__}")
+            raise ValueError(f"a config is a JSON object, not {JSON_TYPES[type(raw)]}")
         for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",
                      "init_embedding_from_vocab"):
             value = getattr(args, name, None)
@@ -139,9 +144,10 @@ def _run(args, config: TrainConfig | None) -> int:
         return 0
 
     if args.command == "ablate":
+        out_dir = config.resolved_out_dir()
+        require_directory(out_dir)      # the table's, before any arm runs
         rows = run_ablation(config, grid=args.grid, seeds=args.seeds)
         print(format_ablation_table(rows))
-        out_dir = config.resolved_out_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
         table_path = out_dir / f"ablation-{args.grid}.json"
         replace_atomically(table_path, [json.dumps(rows, indent=2).encode("utf-8")])

@@ -126,10 +126,10 @@ class Reader:
         return value
 
     def f8(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A writable copy of the next float64 array of this shape."""
+        """The next float64 array of this shape: a read-only view of the file's bytes."""
         flat = np.frombuffer(self._take(8 * math.prod(shape)), dtype="<f8")
         try:
-            return flat.reshape(shape).copy()
+            return flat.reshape(shape)
         except ValueError as exc:       # e.g. more dimensions than numpy allows
             raise self._fail(f"shape {shape}") from exc
 

@@ -15,7 +15,8 @@ from itertools import chain
 
 import numpy as np
 
-from .model import ConfigError, _check_bools, _check_ints, _is_real, require_file
+from .model import (ConfigError, _check_bools, _check_ints, _is_real, read_utf8,
+                    require_file)
 
 PAD, CLS, SEP, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<cls>", "<sep>", "<unk>")
@@ -254,16 +255,9 @@ def load_delimited(path, column_map: dict[str, int | str], delimiter: str = "\t"
     when the first line is a header. Labels are integers. A file that
     fails any of this, or holds no word, raises DatasetFormatError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    # decoded whole: a stream decodes in chunks, so its error can name an earlier line
-    try:
-        decoded = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise DatasetFormatError(f"{path}:{lineno}: byte {raw[exc.start]:#04x} is not UTF-8")
     examples = []
-    reader = csv.reader(io.StringIO(decoded, newline=""), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(read_utf8(path, DatasetFormatError), newline=""),
+                        delimiter=delimiter)
     header = next(reader, []) if has_header else None
     tc = _column(path, header, column_map["text"])
     lc = _column(path, header, column_map["label"])

@@ -43,6 +43,26 @@ def require_file(path, parent: bool = False) -> None:
         raise ConfigError(f"{path}: no such file")
 
 
+def read_utf8(path, error: type[ValueError]) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises ``error`` naming
+    its line and its value."""
+    raw = Path(path).read_bytes()
+    # decoded whole: a stream decodes in chunks, so its error can name an earlier line
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: byte {raw[exc.start]:#04x} is not UTF-8") from None
+
+
+def require_directory(path) -> None:
+    """Raise ConfigError naming the first of ``path`` and its parents that
+    exists but is not a directory, so ``path`` could be made one."""
+    for part in reversed((Path(path), *Path(path).parents)):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"{part}: not a directory")
+
+
 def _check_ints(config, least_by_name) -> None:
     """Raise ConfigError unless each named field is an integer no less than its bound."""
     for name, least in least_by_name:
@@ -112,52 +132,50 @@ def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     yield from linear("head", cfg.dim, cfg.classes)
 
 
+def _draw(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A fresh parameter's initial values."""
+    if name == "embedding.weight":
+        # token rows land near unit norm, the regime the perturbation
+        # bounds are calibrated against
+        bound = math.sqrt(3.0 / shape[1])
+        data = rng.uniform(-bound, bound, size=shape)
+        data[0] = 0.0
+        return data
+    if name == "positional.weight":
+        return rng.uniform(-0.1, 0.1, size=shape)
+    if name.endswith(".weight"):
+        fan_in, fan_out = shape
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=shape)
+    return np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+
+
 class TextModel:
-    """Embedding table + encoder + head, all parameters in one named map."""
+    """Embedding table + encoder + head, all parameters in one named map.
+
+    The parameters are drawn from ``rng`` in ``param_shapes`` order, or copied
+    from ``params``, arrays by name. Either way the dense ones (all but the
+    lookup tables) are views of one flat buffer, ``dense``, so an optimizer
+    updates them in one pass.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
-                 params: dict[str, Tensor] | None = None):
+                 params: dict[str, np.ndarray] | None = None):
+        if params is None and rng is None:
+            raise ValueError("TextModel needs an rng or explicit params")
         self.config = config
-        # the dense parameters' Packed buffer when _init_params drew them; a
-        # model of explicit params (a loaded checkpoint, a snapshot) keeps them apart
-        self.dense: T.Packed | None = None
-        if params is not None:
-            self.params = params
-        else:
-            if rng is None:
-                raise ValueError("TextModel needs an rng or explicit params")
-            self.params = self._init_params(rng)
-
-    def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
-        """Drawn in ``param_shapes`` order; the dense parameters (all but the
-        lookup tables) are views of ``self.dense``, so an optimizer updates them
-        in one pass."""
-        cfg = self.config
-        params: dict[str, Tensor] = {}
-        self.dense = dense = T.Packed((name, shape) for name, shape in param_shapes(cfg)
-                                      if name not in LOOKUP_TABLES)
-        for name, shape in param_shapes(cfg):
-            if name == "embedding.weight":
-                # token rows land near unit norm, the regime the perturbation
-                # bounds are calibrated against
-                bound = math.sqrt(3.0 / cfg.dim)
-                data = rng.uniform(-bound, bound, size=shape)
-                data[0] = 0.0
-            elif name == "positional.weight":
-                data = rng.uniform(-0.1, 0.1, size=shape)
-            elif name.endswith(".weight"):
-                fan_in, fan_out = shape
-                bound = math.sqrt(6.0 / (fan_in + fan_out))
-                data = rng.uniform(-bound, bound, size=shape)
-            elif name.endswith(".gain"):
-                data = np.ones(shape)
-            else:
-                data = np.zeros(shape)
-            if name in dense:
-                dense[name][...] = data
-                data = dense[name]
-            params[name] = Tensor(data, requires_grad=True)
-        return params
+        shapes = list(param_shapes(config))
+        self.dense = T.Packed((name, shape) for name, shape in shapes
+                              if name not in LOOKUP_TABLES)
+        self.params: dict[str, Tensor] = {}
+        for name, shape in shapes:
+            data = _draw(rng, name, shape) if params is None else params[name]
+            if name in self.dense:
+                self.dense[name][...] = data
+                data = self.dense[name]
+            elif params is not None:
+                data = np.array(data, dtype=np.float64)
+            self.params[name] = Tensor(data, requires_grad=True)
 
     def set_embedding(self, weights: np.ndarray) -> None:
         """Replace the N x D embedding weights (row 0 is padding) with a copy."""
@@ -168,9 +186,7 @@ class TextModel:
         self.params["embedding.weight"] = Tensor(weights.copy(), requires_grad=True)
 
     def snapshot(self) -> "TextModel":
-        copies = {name: Tensor(p.data.copy(), requires_grad=True)
-                  for name, p in self.params.items()}
-        return TextModel(self.config, params=copies)
+        return TextModel(self.config, params={name: p.data for name, p in self.params.items()})
 
     def embed(self, batch) -> Tensor:
         """Embedding output for a batch; padding ids resolve to row 0."""
@@ -250,10 +266,10 @@ def load_checkpoint(path) -> TextModel:
     reader = container.Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                               CheckpointFormatError, "checkpoint")
     hyper = reader.json_object()
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
         name = reader.text()
-        params[name] = Tensor(reader.f8(reader.u32s(reader.u32())), requires_grad=True)
+        params[name] = reader.f8(reader.u32s(reader.u32()))
     reader.end()
     # older files also name the encoder and a dropout rate and seed, which
     # touch neither the saved parameters nor predictions
@@ -270,4 +286,5 @@ def load_checkpoint(path) -> TextModel:
     if {name: p.shape for name, p in params.items()} != expected:
         raise CheckpointFormatError(
             f"{path}: tensor table does not match the hyperparameter block")
+    # each parameter is copied once, from the file's bytes to its place in the model
     return TextModel(config, params=params)

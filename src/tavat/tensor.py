@@ -454,16 +454,12 @@ class Packed(dict):
     float64 buffer, ``flat``, in the order of ``layout``, its (name, shape)
     pairs; so one ufunc call over ``flat`` does the work of one per name.
     A packed name keeps its view, so values go in through it, in place;
-    names added later are the caller's own, outside the buffer. ``of`` is the
-    ``Packed`` of parameters whose gradients these are, when they are, as
-    ``adv.AccumulatedGradient`` sums a ``TextModel``'s: an optimizer then
-    steps the two buffers as one piece.
+    names added later are the caller's own, outside the buffer.
     """
 
-    def __init__(self, layout, flat: np.ndarray | None = None, of: Packed | None = None):
+    def __init__(self, layout, flat: np.ndarray | None = None):
         super().__init__()
         self.layout = tuple(layout)
-        self.of = of
         sizes = [math.prod(shape) for _, shape in self.layout]
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
         start = 0

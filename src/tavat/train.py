@@ -27,29 +27,26 @@ from .adv import (AdvConfig, SpecialTokenPolicy, example_norms, init_vocabulary,
 from .data import (CLS, SEP, UNK, DatasetSpec, build_dataset, encode_examples,
                    label_histogram, make_batches, span_f1, tagging_tag_names)
 from .model import (ConfigError, ModelConfig, TextModel, _check_ints, _is_real,
-                    require_file, save_checkpoint)
-from .tensor import Packed, RowGradient, Tensor
+                    require_directory, require_file, save_checkpoint)
+from .tensor import Packed, RowGradient
 from .vocab import apply_to_embedding, load_vocabulary, save_vocabulary
 
 METRICS_SCHEMA = 1
 
 
-def _pieces(params: dict[str, Tensor], grads: dict[str, np.ndarray | RowGradient]):
-    """What an optimizer step walks: (key, parameter array, rows, gradient)
+def _pieces(model, grads: Packed):
+    """What an optimizer step walks: (name, parameter array, rows, gradient)
     per piece, where ``rows`` indexes the rows the gradient may be nonzero on.
 
-    When ``grads`` is a ``Packed`` sum whose ``of`` is the ``Packed`` that the
-    dense arrays of ``params`` are views of, as ``AccumulatedGradient`` sums a
-    ``TextModel``'s, those parameters are one piece over the two buffers,
-    keyed by the layout. Every other parameter is a piece of its own, keyed by
-    name: a table's RowGradient with its ``rows`` and ``values`` as they are.
+    The dense parameters are one piece, named None, over the model's flat
+    buffer and that of ``grads``, a ``Packed`` sum of the model's layout as
+    ``AccumulatedGradient`` makes it. Each lookup table is a piece of its own:
+    a RowGradient with its ``rows`` and ``values`` as they are, or a dense
+    array over every row.
     """
-    of = getattr(grads, "of", None)
-    if of is not None and not all(params[name].data is view for name, view in of.items()):
-        of = None
-    pieces = [] if of is None else [(of.layout, of.flat, slice(None), grads.flat)]
-    for name, p in params.items():
-        if of is None or name not in of:
+    pieces = [(None, model.dense.flat, slice(None), grads.flat)]
+    for name, p in model.params.items():
+        if name not in model.dense:
             g = grads[name]
             rows, g = (g.rows, g.values) if isinstance(g, RowGradient) else (slice(None), g)
             pieces.append((name, p.data, rows, g))
@@ -63,10 +60,19 @@ class SGD:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: dict[str, Tensor],
-             grads: dict[str, np.ndarray | RowGradient]) -> None:
-        for _, p, rows, g in _pieces(params, grads):
+    def step(self, model, grads: Packed) -> None:
+        for _, p, rows, g in _pieces(model, grads):
             p[rows] -= self.lr * g
+
+
+def _zeros(model) -> Packed:
+    """Zeros by parameter name, the dense ones views of one flat buffer of the
+    model's layout."""
+    state = Packed(model.dense.layout)
+    for name, p in model.params.items():
+        if name not in state:
+            state[name] = np.zeros_like(p.data)
+    return state
 
 
 class Adam:
@@ -79,9 +85,10 @@ class Adam:
     temporaries stay block-sized. Off the rows the dense step would add
     ``+0.0``, which changes only a ``-0.0``, and no moment is ever ``-0.0``:
     ``x + y`` is ``-0.0`` only when both are, the moments start at ``+0.0``,
-    and B1 or B2 times the smallest denormal rounds back to it. The moments
-    of packed dense parameters are views of two ``Packed`` buffers of the
-    same layout, stepped in one pass each.
+    and B1 or B2 times the smallest denormal rounds back to it. ``m`` and
+    ``v`` are made at the first step unless already given, each a ``Packed``
+    of the model's layout, so the dense parameters' moments are stepped in
+    one pass each.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -90,35 +97,17 @@ class Adam:
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
+        self.m: dict[str, np.ndarray] = {}     # a Packed from the first step
         self.v: dict[str, np.ndarray] = {}
-        self._packed: tuple = (None, None, None)    # layout, m and v buffers
 
-    def _moments(self, key, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """m and v of one piece, made at its first step: zeros, except that
-        a packed piece takes over the moments its names already have."""
-        if isinstance(key, str):
-            if key not in self.m:
-                self.m[key] = np.zeros_like(p)
-                self.v[key] = np.zeros_like(p)
-            return self.m[key], self.v[key]
-        if self._packed[0] is not key:
-            m, v = Packed(key), Packed(key)
-            for name, _ in key:
-                for old, new in ((self.m, m), (self.v, v)):
-                    if name in old:
-                        new[name][...] = old[name]
-                    old[name] = new[name]
-            self._packed = key, m.flat, v.flat
-        return self._packed[1:]
-
-    def step(self, params: dict[str, Tensor],
-             grads: dict[str, np.ndarray | RowGradient]) -> None:
+    def step(self, model, grads: Packed) -> None:
+        if not self.m:
+            self.m, self.v = _zeros(model), _zeros(model)
         self.t += 1
         c1 = 1 - self.BETA1 ** self.t
         c2 = 1 - self.BETA2 ** self.t
-        for key, p, rows, g in _pieces(params, grads):
-            m, v = self._moments(key, p)
+        for name, p, rows, g in _pieces(model, grads):
+            m, v = (self.m.flat, self.v.flat) if name is None else (self.m[name], self.v[name])
             m *= self.BETA1
             v *= self.BETA2
             m[rows] += (1 - self.BETA1) * g
@@ -378,6 +367,7 @@ def train(config: TrainConfig) -> TrainResult:
     dev_batches = make_batches(encoded_dev, cfg.batch_size) if encoded_dev else []
 
     out_dir = cfg.resolved_out_dir()
+    require_directory(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)   # after every refusal above
     checkpoint_path, metrics_path = out_dir / "checkpoint.bin", out_dir / "metrics.jsonl"
     vocab_path = out_dir / "ptb_vocab.bin"

@@ -51,7 +51,7 @@ def load_vocabulary(path, expect_dim: int | None = None,
                     expect_fingerprint: str | None = None) -> PerturbationVocabulary:
     reader = container.Reader(path, VOCAB_MAGIC, VOCAB_VERSION, VocabularyFormatError,
                               "vocabulary")
-    vocab = PerturbationVocabulary(table=reader.f8(reader.u32s(2)), meta=reader.json_object())
+    vocab = PerturbationVocabulary(table=reader.f8(reader.u32s(2)).copy(), meta=reader.json_object())
     reader.end()
     if expect_fingerprint is not None and vocab.meta.get("fingerprint") != expect_fingerprint:
         raise FingerprintMismatch(

@@ -38,7 +38,7 @@ class Mutant:
 
 CONFIG_CHECK = (
     '        if not isinstance(raw, dict):\n'
-    '            raise ValueError(f"a config is a JSON object, not a {type(raw).__name__}")\n')
+    '            raise ValueError(f"a config is a JSON object, not {JSON_TYPES[type(raw)]}")\n')
 CONFIG_FLAGS = (
     '        for name in ("epochs", "batch_size", "lr", "out_dir", "run_name", "optimizer",\n'
     '                     "init_embedding_from_vocab"):\n'
@@ -90,15 +90,16 @@ MUTANTS = [
     # the flat buffer of the dense parameters and the exact fast paths of narrow rows
     Mutant("packed-view-offset-by-one", "src/tavat/tensor.py",
            "            start += size\n", "            start += size - 1\n"),
+    # moments given before the first step (Packed buffers) replaced by zeros
     Mutant("adam-packed-moments-start-at-zero", "src/tavat/train.py",
-           "                        new[name][...] = old[name]\n",
-           "                        pass\n"),
+           "        if not self.m:\n", "        if self.t == 0:\n"),
     Mutant("accumulated-packed-finite-unchecked", "src/tavat/adv.py",
-           "packed_finite = isinstance(self.sums, Packed) and np.isfinite(self.sums.flat).all()",
-           "packed_finite = isinstance(self.sums, Packed)"),
-    Mutant("optimizer-packed-piece-without-identity-check", "src/tavat/train.py",
-           "if of is not None and not all(params[name].data is view for name, view in of.items()):",
-           "if False:"),
+           "cleared = {name for name, _ in self.layout} if np.isfinite(self.sums.flat).all() else ()",
+           "cleared = {name for name, _ in self.layout}"),
+    # a loaded or snapshot model's dense parameters kept beside the buffer the optimizer steps
+    Mutant("explicit-parameters-outside-the-buffer", "src/tavat/model.py",
+           "            if name in self.dense:\n",
+           "            if name in self.dense and params is None:\n"),
     Mutant("softmax-max-over-columns", "src/tavat/tensor.py",
            "np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)",
            "np.ascontiguousarray(np.moveaxis(x, -2, 0)).max(axis=0)"),

@@ -17,9 +17,9 @@ class RecordingOptimizer:
         self.inner = inner
         self.grads = None
 
-    def step(self, params, grads):
+    def step(self, model, grads):
         self.grads = grads
-        self.inner.step(params, grads)
+        self.inner.step(model, grads)
 
 
 class Trajectory:

@@ -10,10 +10,11 @@ from tavat.adv import (AdvConfig, ConfigError, NonFiniteGradient, SpecialTokenPo
                        example_norms, init_delta, init_vocabulary, instance_step,
                        project_frobenius, scaling_index, tavat_batch_step, token_step)
 from tavat.data import DatasetSpec, build_dataset, encode_examples, make_batches
-from tavat.model import LOOKUP_TABLES, ModelConfig, TextModel
+from tavat.model import (LOOKUP_TABLES, ModelConfig, TextModel, load_checkpoint,
+                         save_checkpoint)
 from tavat import tensor as T
 from tavat.tensor import RowGradient, backward
-from tavat.train import SGD, Adam, _pieces, _step_record
+from tavat.train import OPTIMIZERS, SGD, Adam, _pieces, _step_record
 from oracles import dense_gradient, reference_freelb_step, token_step_reference
 from stepwatch import RecordingOptimizer, Trajectory
 
@@ -489,7 +490,7 @@ class TestBatchStep:
 
     def test_drawn_dense_parameters_reach_the_optimizer_as_one_piece(self):
         """A drawn model's dense parameters are views of ``model.dense``; the batch
-        step sums their gradients into a ``Packed`` of that buffer, so the optimizer
+        step sums their gradients into a ``Packed`` of that layout, so the optimizer
         steps them as one piece beside the lookup tables, and Adam's moments of
         them share one buffer too."""
         tok, batch = make_batch()
@@ -497,13 +498,56 @@ class TestBatchStep:
         cfg = AdvConfig(mode="freelb", use_vocab=False, use_token_norm=False, K=2)
         optimizer = RecordingOptimizer(Adam(0.01))
         tavat_batch_step(model, batch, None, cfg, optimizer, np.random.default_rng(4))
-        assert optimizer.grads.of is model.dense
-        assert [key for key, *_ in _pieces(model.params, optimizer.grads)] == [
-            model.dense.layout, *(name for name in LOOKUP_TABLES if name in model.params)]
+        assert optimizer.grads.layout == model.dense.layout
+        assert [name for name, *_ in _pieces(model, optimizer.grads)] == [
+            None, *(name for name in LOOKUP_TABLES if name in model.params)]
         for state in (optimizer.inner.m, optimizer.inner.v):
-            base = state["head.weight"].base
-            assert base.size == model.dense.flat.size
-            assert all(state[name].base is base for name in model.dense)
+            assert state.flat.size == model.dense.flat.size
+            assert all(state[name].base is state.flat for name in model.dense)
+
+    def test_pgd_step_hands_the_optimizer_a_packed_sum(self):
+        """``--mode pgd`` keeps the last inner step's gradients, packed in the
+        model's layout as FreeLB's and TA-VAT's sums are; the table's stays a
+        RowGradient."""
+        tok, batch = make_batch()
+        model = make_model(tok, seed=3)
+        cfg = AdvConfig(mode="pgd", use_vocab=False, use_token_norm=False, K=2)
+        optimizer = RecordingOptimizer(SGD(0.05))
+        tavat_batch_step(model, batch, None, cfg, optimizer, np.random.default_rng(4))
+        assert isinstance(optimizer.grads, T.Packed)
+        assert optimizer.grads.layout == model.dense.layout
+        assert all(optimizer.grads[name].base is optimizer.grads.flat for name in model.dense)
+        assert isinstance(optimizer.grads["embedding.weight"], RowGradient)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_drawn_and_reloaded_models_step_alike_bitwise(self, tmp_path, kind):
+        """A drawn model and its checkpoint reload, each with a fresh optimizer,
+        stepped on the same batches and seeds, keep bitwise equal parameters
+        and moments for three steps."""
+        tok, batch = make_batch()
+        drawn = make_model(tok, seed=5, use_positional=True)
+        path = tmp_path / "model.bin"
+        save_checkpoint(drawn, path)
+        loaded = load_checkpoint(path)
+        cfg = AdvConfig(epsilon=1.0, sigma=0.02, alpha=0.3, K=2)
+        runs = []
+        for model in (drawn, loaded):
+            vocab = init_vocabulary(tok.vocab_size, 16, cfg.sigma, np.random.default_rng(6),
+                                    meta={"epsilon": 1.0})
+            optimizer = OPTIMIZERS[kind](0.01)
+            rng = np.random.default_rng(7)
+            runs.append((model, optimizer))
+            for _ in range(3):
+                tavat_batch_step(model, batch, vocab, cfg, optimizer, rng)
+        (drawn, first), (loaded, second) = runs
+        assert list(loaded.params) == list(drawn.params)
+        for name, p in drawn.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+        for moment in (("m", "v") if kind == "adam" else ()):
+            a, b = getattr(first, moment), getattr(second, moment)
+            assert a.keys() == b.keys() and a.flat.tobytes() == b.flat.tobytes()
+            for name in a:
+                assert a[name].tobytes() == b[name].tobytes(), (moment, name)
 
     def test_abort_leaves_params_and_vocab_untouched(self):
         tok, batch = make_batch()

@@ -11,12 +11,17 @@ change that moves any of them is a behaviour change: it rewrites the file
 in the same commit, so the diff shows it
 (``PYTHONPATH=src python tests/test_golden.py --write``). The bytes depend
 on numpy and its BLAS, so under another environment the test fails and
-names both.
+names both. They must not depend on how many threads the BLAS runs:
+``wide-tavat``, the run with the widest products, is also checked at two
+OpenBLAS threads, in a process of its own since OpenBLAS reads the count
+at load (``python tests/test_golden.py --fingerprint wide-tavat DIR``).
 """
 import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +79,25 @@ def test_run_reproduces_golden_bytes(name, tmp_path):
         f"{name} at seed {SEED}, {EPOCHS} epoch, differs from {GOLDEN.name} "
         f"(recorded under {golden['environment']}; this run uses {here})")
 
+
+def test_wide_run_reproduces_golden_bytes_at_two_blas_threads(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, __file__, "--fingerprint", "wide-tavat",
+                           str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    found = json.loads(done.stdout)
+    assert found["environment"] == golden["environment"], found["environment"]
+    assert found["run"] == golden["runs"]["wide-tavat"], (
+        f"wide-tavat at seed {SEED}, {EPOCHS} epoch, with OPENBLAS_NUM_THREADS=2 differs "
+        f"from {GOLDEN.name}, which one thread reproduces")
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--fingerprint"]:
+    name, work_dir = sys.argv[2:]
+    print(json.dumps({"environment": environment(),
+                      "run": fingerprint(name, Path(work_dir))}))
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import tempfile

@@ -8,8 +8,8 @@ import pytest
 
 from tavat import container
 from tavat import tensor as T
-from tavat.model import (CheckpointFormatError, ModelConfig, TextModel, load_checkpoint,
-                         save_checkpoint)
+from tavat.model import (LOOKUP_TABLES, CheckpointFormatError, ModelConfig, TextModel,
+                         load_checkpoint, param_shapes, save_checkpoint)
 from tavat.tensor import Tensor, backward, topo_order
 from oracles import dense_gradient, finite_difference_gradient
 
@@ -285,6 +285,28 @@ class TestDeterminismAndSnapshot:
         model.params["head.bias"].data += 1.0
         assert np.abs(snap.params["head.bias"].data
                       - model.params["head.bias"].data).max() == 1.0
+
+    @pytest.mark.parametrize("form", ["drawn", "snapshot", "loaded"])
+    def test_dense_parameters_are_views_of_one_buffer_however_built(self, tmp_path, form):
+        """Drawn, snapshotted or loaded, a model's dense parameters (all but the
+        lookup tables) are views of ``model.dense.flat`` in ``param_shapes``
+        order, its own buffer, holding the drawn values; the tables are arrays of
+        their own."""
+        drawn = small_model(seed=4, use_positional=True)
+        save_checkpoint(drawn, tmp_path / "model.bin")
+        model = {"drawn": lambda: drawn, "snapshot": drawn.snapshot,
+                 "loaded": lambda: load_checkpoint(tmp_path / "model.bin")}[form]()
+        assert list(model.params) == [name for name, _ in param_shapes(model.config)]
+        assert [name for name, _ in model.dense.layout] == [
+            name for name in model.params if name not in LOOKUP_TABLES]
+        for name, p in model.params.items():
+            assert p.data.tobytes() == drawn.params[name].data.tobytes(), name
+            assert p.requires_grad and p.data.flags.writeable
+            assert (p.data.base is model.dense.flat) == (name not in LOOKUP_TABLES), name
+            if model is not drawn:
+                assert not np.shares_memory(p.data, drawn.params[name].data), name
+        assert model.dense.flat.size == sum(p.size for name, p in model.params.items()
+                                            if name not in LOOKUP_TABLES)
 
 
 class TestCheckpoint:

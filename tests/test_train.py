@@ -11,7 +11,7 @@ import pytest
 import tavat.adv as adv_module
 import tavat.cli as cli_module
 import tavat.train as train_module
-from tavat.adv import AdvConfig, init_vocabulary
+from tavat.adv import AccumulatedGradient, AdvConfig, init_vocabulary
 from tavat.cli import MODES, _load_config, main as cli_main
 from tavat.data import Batch, DatasetSpec, build_dataset, encode_examples, make_batches
 from tavat.model import ConfigError, ModelConfig, TextModel, load_checkpoint, save_checkpoint
@@ -73,9 +73,26 @@ def pinned_text(role, foreign):
             return f": truncated or corrupt {kind} ("
         return f": not a {kind} (bad magic)"
     if role == "config" and foreign.startswith("json-"):
-        kind = {"json-list": "list", "json-string": "str", "json-number": "int"}[foreign]
-        return f": a config is a JSON object, not a {kind}"
+        kind = {"json-list": "an array", "json-string": "a string",
+                "json-number": "a number"}[foreign]
+        return f": a config is a JSON object, not {kind}"
+    if role in ("config", "dataset") and foreign == "not-utf-8":
+        return ":1: byte 0xe9 is not UTF-8"
+    if role in ("out-dir", "run-name"):
+        return ": not a directory"
     return ""
+
+
+FILE_ROLES = [("train", "config"), ("evaluate", "config"), ("ablate", "config"),
+              ("evaluate", "checkpoint"), ("export-vocab", "checkpoint"),
+              ("export-vocab", "vocab"), ("train", "vocab"), ("ablate", "vocab"),
+              ("train", "dataset"), ("evaluate", "dataset"), ("ablate", "dataset")]
+# each file a command reads crossed with every foreign input, then a run directory
+# (named by --out-dir, or by --run-name under it) in place of which comes a file
+FOREIGN_CASES = ([(command, role, foreign) for command, role in FILE_ROLES
+                  for foreign in sorted(FOREIGN)]
+                 + [(command, role, "empty") for command in ("train", "ablate")
+                    for role in ("out-dir", "run-name")])
 
 
 def strip_time(records):
@@ -108,6 +125,25 @@ class TestAllocatorPin:
         assert train_module._pin_allocator() is None
 
 
+def stand_in(arrays, dense_names):
+    """What an optimizer step reads of a model: ``params``, Tensors over copies of
+    ``arrays`` by name, those in ``dense_names`` views of one ``Packed``, ``dense``."""
+    dense = Packed((name, arrays[name].shape) for name in dense_names)
+    for name in dense_names:
+        dense[name][...] = arrays[name]
+    params = {name: Tensor(dense[name] if name in dense else a.copy(), requires_grad=True)
+              for name, a in arrays.items()}
+    return types.SimpleNamespace(dense=dense, params=params)
+
+
+def packed(model, grads):
+    """``grads`` by name as an optimizer takes them: a ``Packed`` of the model's
+    layout, the tables' entries as they are, as ``--mode pgd`` hands them over."""
+    accum = AccumulatedGradient(model.dense.layout)
+    accum.replace(grads.items())
+    return accum.sums
+
+
 class TestAdam:
     LR = 0.003
 
@@ -124,17 +160,16 @@ class TestAdam:
     def test_in_place_step_matches_the_dense_expression_bitwise(self):
         rng = np.random.default_rng(31)
         shapes = {"table": (40, 8), "bias": (8,)}
-        params = {n: Tensor(rng.uniform(-1, 1, size=s), requires_grad=True)
-                  for n, s in shapes.items()}
-        buffers = {n: p.data for n, p in params.items()}
-        expected = {n: (0.0, 0.0, p.data.copy()) for n, p in params.items()}
+        model = stand_in({n: rng.uniform(-1, 1, size=s) for n, s in shapes.items()}, ["bias"])
+        buffers = {n: p.data for n, p in model.params.items()}
+        expected = {n: (0.0, 0.0, p.data.copy()) for n, p in model.params.items()}
         optimizer = Adam(self.LR)
         for t in (1, 2, 3):
             grads = {n: rng.normal(scale=10.0 ** -t, size=s) for n, s in shapes.items()}
             grads["table"][::3] = 0.0       # rows no lookup touched
             grads["table"][1, :2] = -0.0
-            optimizer.step(params, grads)
-            for n, p in params.items():
+            optimizer.step(model, packed(model, grads))
+            for n, p in model.params.items():
                 m, v, want = expected[n] = self.dense_step(*expected[n], grads[n], t, self.LR)
                 assert p.data.tobytes() == want.tobytes()
                 assert optimizer.m[n].tobytes() == m.tobytes()
@@ -162,82 +197,88 @@ class TestAdam:
             rng = np.random.default_rng(32)
             start = rng.uniform(-1, 1, size=shape)
             start[[1, block + 3, 3 * block + 1], 1:3] = -0.0
-            sparse, dense = ({"table": Tensor(start.copy(), requires_grad=True)}
+            sparse, dense = (stand_in({"table": start, "bias": np.zeros(4)}, ["bias"])
                              for _ in range(2))
             sparse_opt, dense_opt = optimizer(self.LR), optimizer(self.LR)
             moments = ("m", "v") if kind == "adam" else ()
-            for moment in moments:
-                for opt in (sparse_opt, dense_opt):
-                    getattr(opt, moment)["table"] = preset[moment].copy()
-            buffer = sparse["table"].data
+            for opt, model in ((sparse_opt, sparse), (dense_opt, dense)):
+                for moment in moments:
+                    setattr(opt, moment, train_module._zeros(model))
+                    getattr(opt, moment)["table"][...] = preset[moment]
+            buffer = sparse.params["table"].data
             for step in range(4):
                 rows = np.union1d(always, first_only) if step == 0 else always
                 values = rng.normal(size=(rows.size, shape[1]))
                 values[1, 2] = -0.0
                 values[-1] = -0.0
                 g = RowGradient(rows, values, shape)
-                sparse_opt.step(sparse, {"table": g})
-                dense_opt.step(dense, {"table": dense_gradient(g)})
-                assert sparse["table"].data.tobytes() == dense["table"].data.tobytes(), kind
+                sparse_opt.step(sparse, packed(sparse, {"table": g, "bias": np.zeros(4)}))
+                dense_opt.step(dense, packed(dense, {"table": dense_gradient(g),
+                                                     "bias": np.zeros(4)}))
+                assert (sparse.params["table"].data.tobytes()
+                        == dense.params["table"].data.tobytes()), kind
                 for moment in moments:
                     want = getattr(dense_opt, moment)["table"].tobytes()
                     assert getattr(sparse_opt, moment)["table"].tobytes() == want, moment
-            assert sparse["table"].data is buffer
+            assert sparse.params["table"].data is buffer
             for moment in moments:
                 kept = getattr(sparse_opt, moment)["table"][untouched]
                 assert kept.tobytes() == preset[moment][untouched].tobytes()
             if not moments:
-                assert sparse["table"].data[untouched].tobytes() == start[untouched].tobytes()
+                kept = sparse.params["table"].data[untouched]
+                assert kept.tobytes() == start[untouched].tobytes()
 
     @pytest.mark.parametrize("kind", list(train_module.OPTIMIZERS))
-    @pytest.mark.parametrize("grads_form", ["packed-of-params", "packed-of-other-params",
-                                            "packed-alone", "dict"])
+    @pytest.mark.parametrize("grads_form", ["accumulated", "replaced"])
+    @pytest.mark.parametrize("model_form", ["drawn", "snapshot", "loaded"])
     def test_packed_dense_parameters_step_like_the_per_name_expression_bitwise(
-            self, kind, grads_form):
-        """A table with a RowGradient beside dense parameters packed in one buffer, as
-        ``TextModel`` packs them, with the dense gradients packed as
-        ``AccumulatedGradient`` sums them (naming the parameters' buffer as ``of``),
-        packed with another buffer of the same layout as ``of``, packed without
-        ``of``, or a plain dict: over four steps every parameter and
-        moment moves exactly as the per-name dense expression moves it, in place.
-        Moments start at the smallest denormals, which the packed moments must take
-        over; gradients and parameters hold -0.0 entries."""
+            self, tmp_path, kind, grads_form, model_form):
+        """A model drawn, snapshotted or loaded from a checkpoint, its embedding
+        table with a RowGradient beside the dense parameters in one buffer, takes
+        the gradients as ``AccumulatedGradient`` sums them over two inner steps or
+        as it hands over the last one (``--mode pgd``): over four steps every
+        parameter and moment moves exactly as the per-name dense expression moves
+        it, in place. Moments start at the smallest denormals; gradients and
+        parameters hold -0.0 entries."""
         rng = np.random.default_rng(34)
-        table_shape = (30, 4)
-        layout = [("w", (4, 6)), ("b", (6,)), ("gain", (4,)), ("head", (6, 2))]
-        dense = Packed(layout)
-        for name, shape in layout:
-            dense[name][...] = rng.uniform(-1, 1, size=shape)
-        dense["w"][0, :2] = -0.0
-        params = {"table": Tensor(rng.uniform(-1, 1, size=table_shape), requires_grad=True),
-                  **{name: Tensor(dense[name], requires_grad=True) for name, _ in layout}}
-        buffers = {n: p.data for n, p in params.items()}
+        drawn = TextModel(ModelConfig(vocab_size=30, dim=4, blocks=1, heads=1, ffn_dim=6,
+                                      max_len=8, classes=2), rng=rng)
+        drawn.params["block0.attn.wq.weight"].data[0, :2] = -0.0
+        save_checkpoint(drawn, tmp_path / "model.bin")
+        model = {"drawn": lambda: drawn, "snapshot": drawn.snapshot,
+                 "loaded": lambda: load_checkpoint(tmp_path / "model.bin")}[model_form]()
+        table_shape = model.params["embedding.weight"].shape
+        buffers = {n: p.data for n, p in model.params.items()}
         tiny = np.nextafter(0.0, 1.0)
         optimizer = train_module.OPTIMIZERS[kind](self.LR)
         moments = {}
         if kind == "adam":
-            for n, p in params.items():
+            optimizer.m, optimizer.v = train_module._zeros(model), train_module._zeros(model)
+            for n, p in model.params.items():
                 moments[n] = (np.resize([tiny, -tiny, 0.0], p.shape),
                               np.resize([tiny, 0.0], p.shape))
-                optimizer.m[n], optimizer.v[n] = (a.copy() for a in moments[n])
+                optimizer.m[n][...], optimizer.v[n][...] = moments[n]
         expected = {n: (*moments.get(n, (None, None)), p.data.copy())
-                    for n, p in params.items()}
+                    for n, p in model.params.items()}
         for t in range(1, 5):
-            rows = np.array([0, 3, 4, 17, 29]) if t % 2 else np.array([1, 3])
-            values = rng.normal(size=(rows.size, table_shape[1]))
-            values[0, 1] = -0.0
-            draws = {name: rng.normal(scale=10.0 ** -t, size=shape) for name, shape in layout}
-            flat = np.concatenate([d.reshape(-1) for d in draws.values()])
-            grads = {"packed-of-params": lambda: Packed(layout, flat, of=dense),
-                     "packed-of-other-params": lambda: Packed(layout, flat, of=Packed(layout)),
-                     "packed-alone": lambda: Packed(layout, flat),
-                     "dict": lambda: draws}[grads_form]()
-            grads["b"][2] = -0.0
-            grads["table"] = RowGradient(rows, values, table_shape)
-            pieces = train_module._pieces(params, grads)
-            assert len(pieces) == (2 if grads_form == "packed-of-params" else 5)
-            optimizer.step(params, grads)
-            for n, p in params.items():
+            accum = AccumulatedGradient(model.dense.layout)
+            for _ in range(2):
+                rows = np.array([0, 3, 4, 17, 29]) if t % 2 else np.array([1, 3])
+                values = rng.normal(size=(rows.size, table_shape[1]))
+                values[0, 1] = -0.0
+                draws = {n: rng.normal(scale=10.0 ** -t, size=p.shape)
+                         for n, p in model.params.items() if n in model.dense}
+                draws["embedding.weight"] = RowGradient(rows, values, table_shape)
+                if grads_form == "accumulated":
+                    accum.add(draws.items(), 0.5)
+                else:
+                    accum.replace(draws.items())
+            grads = accum.sums
+            grads["head.bias"][1] = -0.0
+            assert isinstance(grads, Packed) and grads.layout == model.dense.layout
+            assert len(train_module._pieces(model, grads)) == 2
+            optimizer.step(model, grads)
+            for n, p in model.params.items():
                 m, v, before = expected[n]
                 g = dense_gradient(grads[n])
                 if kind == "adam":
@@ -249,11 +290,8 @@ class TestAdam:
                 expected[n] = (m, v, want)
                 assert p.data.tobytes() == want.tobytes(), (t, n)
                 assert p.data is buffers[n]
-        if kind == "adam" and grads_form == "packed-of-params":
-            for state in (optimizer.m, optimizer.v):
-                base = state["w"].base
-                assert base.size == dense.flat.size
-                assert all(state[n].base is base for n, _ in layout)
+        for state in ((optimizer.m, optimizer.v) if kind == "adam" else ()):
+            assert all(state[n].base is state.flat for n in model.dense)
 
     def test_table_step_allocates_no_table_sized_array(self):
         """Once the moments exist, a step over a 2 MB table and its RowGradient
@@ -262,23 +300,26 @@ class TestAdam:
 
         rng = np.random.default_rng(33)
         shape = (4096, 64)
-        params = {"table": Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)}
+        model = stand_in({"table": rng.uniform(-1, 1, size=shape), "bias": np.zeros(2)},
+                         ["bias"])
         rows = np.arange(0, shape[0], 7)
 
         def grads():
-            return {"table": RowGradient(rows, rng.normal(size=(rows.size, shape[1])), shape)}
+            return packed(model, {"table": RowGradient(rows, rng.normal(size=(rows.size, shape[1])),
+                                                       shape),
+                                  "bias": np.zeros(2)})
 
         optimizer = Adam(self.LR)
-        optimizer.step(params, grads())
+        optimizer.step(model, grads())
         g = grads()
         tracemalloc.start()
         try:
-            optimizer.step(params, g)
+            optimizer.step(model, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the gradient block and two temporaries are 3 x 128 kB here
-        table_bytes = params["table"].data.nbytes
+        table_bytes = model.params["table"].data.nbytes
         assert peak < table_bytes / 2, (peak, table_bytes)
 
 
@@ -764,21 +805,18 @@ class TestCLI:
             f"{foreign}: vocab_size 40 != dataset tokenizer 56: the checkpoint was trained "
             f"on another vocabulary")
 
-    @pytest.mark.parametrize("foreign", sorted(FOREIGN))
-    @pytest.mark.parametrize("command, role", [
-        ("train", "config"), ("evaluate", "config"), ("ablate", "config"),
-        ("evaluate", "checkpoint"), ("export-vocab", "checkpoint"),
-        ("export-vocab", "vocab"), ("train", "vocab"), ("ablate", "vocab"),
-        ("train", "dataset"), ("evaluate", "dataset"), ("ablate", "dataset"),
-    ])
+    @pytest.mark.parametrize("command, role, foreign", FOREIGN_CASES)
     def test_foreign_input_exits_with_one_line_naming_the_file(self, tmp_path, capsys,
                                                                command, role, foreign):
         """Every file a command reads, in place of which comes a file that is not
-        one (``FOREIGN``), ends the command with exit status 2 and one error line
-        that begins with the file's path and, where ``pinned_text`` gives it, the
-        reason, before anything is written. A config is refused before any flag
-        is written into it, and before the checkpoint is opened."""
-        config, config_path = self.write_config(tmp_path, run_name="foreign")
+        one (``FOREIGN``), and every run directory, in place of which comes a
+        file, ends the command with exit status 2 and one error line that begins
+        with the path and, where ``pinned_text`` gives it, the reason, before
+        anything is written. A config is refused before any flag is written into
+        it, and before the checkpoint is opened; ``ablate``'s run directory before
+        any arm runs."""
+        # a run directory of its own: under "foreign" it would be the foreign file
+        config, config_path = self.write_config(tmp_path, run_name="table")
         valid = {"config": config_path, "checkpoint": tmp_path / "model.bin",
                  "vocab": tmp_path / "vocab.bin", "dataset": tmp_path / "data.tsv"}
         save_checkpoint(TextModel(config.model, rng=np.random.default_rng(0)),
@@ -796,10 +834,11 @@ class TestCLI:
         make = FOREIGN[foreign]
         if make is None:
             target.mkdir()
-        else:
+        elif callable(make):
             other = valid["vocab" if role == "checkpoint" else "checkpoint"].read_bytes()
-            target.write_bytes(make(valid[role].read_bytes(), other)
-                               if callable(make) else make)
+            target.write_bytes(make(valid[role].read_bytes(), other))
+        else:
+            target.write_bytes(make)
         argv = {
             # flags that write into the config, or a checkpoint that is never reached
             "config": [command, "--config", str(target)]
@@ -816,6 +855,10 @@ class TestCLI:
                        "--init-embedding-from-vocab", str(target)]),
             "dataset": [command, "--config", str(delimited)]
             + (["--checkpoint", str(valid["checkpoint"])] if command == "evaluate" else []),
+            "out-dir": [command, "--config", str(config_path), "--epochs", "0",
+                        "--out-dir", str(target)],
+            "run-name": [command, "--config", str(config_path), "--epochs", "0",
+                         "--out-dir", str(tmp_path), "--run-name", target.name],
         }[role]
         before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exited:
