@@ -24,10 +24,17 @@ and the ``bias`` of ``matmul`` may be a trailing-shape suffix of the
 first operand or product (bias over leading batch dims); anything else
 is a shape error. ``scale`` multiplies by a constant (scalar or plain
 ndarray) that never receives a gradient.
+
+``matmul``'s weight product and bias sum and ``layer_norm``'s gain and
+bias sums, which nothing reads before ``backward`` returns, come back as
+``Deferred`` products that ``backward`` may run on a second thread.
 """
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -140,6 +147,47 @@ def topo_order(root: Tensor) -> list[Node | Tensor]:
     return order
 
 
+# A product pays for its hand-over to the worker thread from this many
+# multiply-adds. At most this many of one backward's jobs wait at once: each
+# holds an output gradient that the inline order would have freed.
+DEFER_MIN_MADDS, DEFER_MAX_PENDING = 1 << 20, 4
+
+
+class Deferred:
+    """A leaf's gradient contribution ``fn()``, costing ``size`` multiply-adds."""
+
+    __slots__ = ("fn", "size", "out", "done")
+
+    def __init__(self, fn, size: int):
+        self.fn, self.size = fn, size
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        job = jobs.get()
+        try:
+            job.out = job.fn()
+        except BaseException as exc:    # raised again in the caller of backward
+            job.out = exc
+        job.fn = None       # drops the tape's arrays before the caller goes on
+        job.done.release()
+
+
+_jobs: queue.SimpleQueue | None = None      # the worker's, made at the first deferral
+os.register_at_fork(after_in_child=lambda: globals().update(_jobs=None))    # no thread there
+
+
+def _submit(job: Deferred) -> Deferred:
+    global _jobs
+    if _jobs is None:
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), daemon=True).start()
+    job.done = threading.Lock()
+    job.done.acquire()
+    _jobs.put(job)
+    return job
+
+
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Propagate d(loss)/d(tensor) to every tracked leaf under ``loss``.
 
@@ -149,6 +197,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     it, so the map holds no link into the tape and the tape is freed when
     the caller lets go of ``loss``. The map is the only output: no tensor
     is written to, so repeated calls return equal maps.
+
+    A leaf's ``Deferred`` of ``DEFER_MIN_MADDS`` or more runs on the worker
+    thread; the rest run in place. Each leaf's terms are added up left to
+    right, in the vjps' order, once every job is done and none has raised.
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -157,6 +209,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     order = topo_order(loss)
     adjoint: dict[Node | Tensor, np.ndarray] = {loss._node: np.ones_like(loss.data)}
+    jobs: list[Deferred] = []   # in the worker's order
     for node in reversed(order):
         if node._vjp is None:
             continue
@@ -166,8 +219,26 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         for parent, contrib in zip(node._parents, node._vjp(out_adj)):
             if parent is None or contrib is None:
                 continue
-            prev = adjoint.get(parent)
-            adjoint[parent] = contrib if prev is None else prev + contrib
+            if type(contrib) is Deferred:
+                if contrib.size < DEFER_MIN_MADDS or type(parent) is not Tensor:
+                    contrib = contrib.fn()
+                else:
+                    if len(jobs) >= DEFER_MAX_PENDING:
+                        jobs[-DEFER_MAX_PENDING].done.acquire()
+                    jobs.append(_submit(contrib))
+            if type(parent) is Tensor:      # a leaf: its terms are added up below
+                adjoint.setdefault(parent, []).append(contrib)
+            else:
+                prev = adjoint.get(parent)
+                adjoint[parent] = contrib if prev is None else prev + contrib
+    if jobs:
+        jobs[-1].done.acquire()
+        for job in jobs:
+            if isinstance(job.out, BaseException):
+                raise job.out
+    for leaf, terms in adjoint.items():
+        terms = [t.out if type(t) is Deferred else t for t in terms]
+        adjoint[leaf] = sum(terms[1:], terms[0])    # ((t0 + t1) + t2) ...
     return adjoint
 
 
@@ -242,15 +313,16 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+        n = b_data.shape[-1]
         if b_data.ndim == 2:
             k = a_data.shape[-1]
-            n = b_data.shape[-1]
-            gb = np.matmul(a_data.reshape(-1, k).T, g.reshape(-1, n))
+            gb = Deferred(lambda: np.matmul(a_data.reshape(-1, k).T, g.reshape(-1, n)),
+                          a_data.size * n)
         else:
             gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
         if bias_shape is None:
             return ga, gb
-        return ga, gb, _sum_to_suffix(g, bias_shape)
+        return ga, gb, Deferred(lambda: _sum_to_suffix(g, bias_shape), a_data.size * n)
 
     return _track(out, parents, vjp, "matmul")
 
@@ -321,8 +393,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = 
     arity = len(parents)
 
     def vjp(g):
-        dgain = (g * y).reshape(-1, dim).sum(axis=0)
-        dbias = g.reshape(-1, dim).sum(axis=0)
+        size = g.size * dim     # priced as a rows x dim x dim product
+        dgain = Deferred(lambda: (g * y).reshape(-1, dim).sum(axis=0), size)
+        dbias = Deferred(lambda: g.reshape(-1, dim).sum(axis=0), size)
         dy = g * gain_data
         mean_dy = dy.mean(axis=-1, keepdims=True)
         mean_dyy = (dy * y).mean(axis=-1, keepdims=True)

@@ -293,6 +293,7 @@ def _step_record(report, epoch: int, b_index: int, wall_time: float) -> dict:
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _pin_allocator() -> None:
@@ -302,8 +303,9 @@ def _pin_allocator() -> None:
     unmaps it on free, and hands a free heap top above its trim threshold
     back to the kernel; both thresholds slide with the sizes freed. An
     inner step's 0.2-6 MB arrays then fault their pages in again on every
-    step. Fixed, high thresholds keep those pages in the heap. A no-op
-    where the C library has no ``mallopt``.
+    step. Fixed, high thresholds keep those pages in the heap, and one
+    arena keeps ``backward``'s worker thread on that heap rather than a
+    second one. A no-op where the C library has no ``mallopt``.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
@@ -311,6 +313,7 @@ def _pin_allocator() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def train(config: TrainConfig) -> TrainResult:
@@ -371,8 +374,8 @@ def train(config: TrainConfig) -> TrainResult:
     out_dir.mkdir(parents=True, exist_ok=True)   # after every refusal above
     checkpoint_path, metrics_path = out_dir / "checkpoint.bin", out_dir / "metrics.jsonl"
     vocab_path = out_dir / "ptb_vocab.bin"
-    if vocab is None:   # a file there is an earlier run's, not this checkpoint's pair
-        vocab_path.unlink(missing_ok=True)
+    vocab_path.unlink(missing_ok=True)   # an earlier run's, no checkpoint's pair below
+    if vocab is None:
         vocab_path = None
     writer = MetricsWriter(metrics_path)
     started = time.time()
@@ -395,11 +398,13 @@ def train(config: TrainConfig) -> TrainResult:
                 writer.emit({"kind": "eval", "epoch": epoch, "metric": dev_metric,
                              "wall_time": time.time() - started})
             save_checkpoint(model, checkpoint_path)
+            if vocab is not None:   # the checkpoint's pair, so a stopped run leaves both
+                save_vocabulary(vocab, vocab_path)
         if cfg.epochs == 0 and dev_batches:
             dev_metric = _dev_metric(model, dev_batches)
             writer.emit({"kind": "eval", "epoch": -1, "metric": dev_metric,
                          "wall_time": time.time() - started})
-        if vocab is not None:
+        if cfg.epochs == 0 and vocab is not None:
             save_vocabulary(vocab, vocab_path)
         writer.emit(writer.summary)
     finally:

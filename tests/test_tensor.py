@@ -1,5 +1,9 @@
 """Tensor core: op semantics, autodiff correctness, graph behavior."""
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -647,3 +651,203 @@ class TestRowGradient:
         g = T.RowGradient(np.array([1]), np.ones((1, 2)), (3, 2))
         with pytest.raises(TypeError):
             expression(g)
+
+
+def _model_grads(head):
+    """The dim-64, 2-block model's gradient map over a padded batch, as bits."""
+    from tavat.model import ModelConfig, TextModel
+    classes = 5 if head == "tagging" else 2
+    model = TextModel(ModelConfig(vocab_size=56, dim=64, blocks=2, heads=4, ffn_dim=256,
+                                  max_len=24, classes=classes, head=head,
+                                  use_positional=head == "tagging"),
+                      rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    ids = rng.integers(1, 56, size=(32, 24))
+    ids[:, 18:] *= np.arange(32)[:, None] % 3 == 0      # padded tails on two rows in three
+    mask = ids != 0
+    labels = rng.integers(0, classes, size=ids.shape if head == "tagging" else 32)
+    batch = type("Batch", (), {"token_ids": ids, "mask": mask, "labels": labels})()
+    delta = Tensor(rng.normal(scale=0.01, size=ids.shape + (64,)), requires_grad=True)
+    loss = model.loss(model.forward_from_embeddings(T.add(model.embed(batch), delta), mask),
+                      batch)
+    grads = backward(loss)
+    return [(grads[t].shape, _bits(grads[t])) for t in [delta, *model.params.values()]]
+
+
+class TestDeferredProducts:
+    """``backward`` runs large leaf products on its worker thread with the same bits."""
+
+    @pytest.mark.parametrize("head", ["classification", "tagging"])
+    def test_model_gradient_map_is_bitwise_that_of_inline_products(self, head, monkeypatch):
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", math.inf)
+        inline = _model_grads(head)
+        submitted = []
+        real_submit = T._submit
+        monkeypatch.setattr(T, "_submit", lambda job: submitted.append(job) or real_submit(job))
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", 0)
+        deferred = _model_grads(head)
+        # two blocks of q, k, v, o and two ffn layers, weight and bias, and four
+        # layer norms' gain and bias, plus the head's weight and bias
+        assert len(submitted) == 2 * (6 * 2 + 2 * 2) + 2
+        assert deferred == inline
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", 1 << 20)
+        assert _model_grads(head) == inline
+
+    def test_shared_weight_folds_its_contributions_in_vjp_order(self, monkeypatch):
+        """Two deferred products and one inline one add up as the inline left fold."""
+        rng = np.random.default_rng(7)
+        w_data = rng.normal(size=(8, 8))
+        # rows 2 are below the rule set below, rows 64 and 80 clear it
+        xs = [rng.normal(size=(rows, 8)) * scale for rows, scale in ((2, 1e3), (64, 1.0),
+                                                                      (80, 1e-3))]
+
+        def grad(rule):
+            monkeypatch.setattr(T, "DEFER_MIN_MADDS", rule)
+            w = Tensor(w_data, requires_grad=True)
+            outs = [T.reduce_sum(T.matmul(Tensor(x), w)) for x in xs]
+            return backward(T.add(T.add(outs[2], outs[1]), outs[0]))[w]
+
+        submitted = []
+        real_submit = T._submit
+        monkeypatch.setattr(T, "_submit", lambda job: submitted.append(job.size) or real_submit(job))
+        mixed = grad(1000)
+        assert submitted == [80 * 8 * 8, 64 * 8 * 8]
+        inline = grad(math.inf)
+        assert mixed.tobytes() == inline.tobytes()
+        # the order matters in these bits: the inline product comes last
+        parts = [x.T @ np.ones((x.shape[0], 8)) for x in xs]
+        assert ((parts[2] + parts[1]) + parts[0]).tobytes() == inline.tobytes()
+        assert ((parts[0] + parts[2]) + parts[1]).tobytes() != inline.tobytes()
+
+    def test_worker_exception_is_raised_by_backward_and_the_next_backward_works(
+            self, monkeypatch):
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", 0)
+        x = Tensor(np.ones(3), requires_grad=True)
+
+        def failing():
+            time.sleep(0.05)        # still running when the caller reaches the join
+            raise ArithmeticError("deferred product failed")
+
+        def vjp(g):
+            return (T.Deferred(failing, 1),)
+
+        broken = T._track(x.data.copy(), (x,), vjp, "broken")
+        with pytest.raises(ArithmeticError, match="deferred product failed"):
+            backward(T.reduce_sum(broken))
+        w = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        grads = backward(T.reduce_sum(T.matmul(Tensor(np.ones((4, 3))), w)))
+        np.testing.assert_array_equal(grads[w], np.full((3, 2), 4.0))
+
+    def test_backward_keeps_at_most_the_pending_bound_of_jobs_waiting(self, monkeypatch):
+        """Past the bound, the caller waits for its oldest job before queueing one more."""
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", 0)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(4, 3))
+        w_data = [rng.normal(size=(3, 3)) for _ in range(3 * T.DEFER_MAX_PENDING)]
+        submitted, waiting = [], []
+        real_submit = T._submit
+
+        def slow_submit(job):
+            fn = job.fn
+            job.fn = lambda: time.sleep(0.01) or fn()
+            submitted.append(job)
+            real_submit(job)
+            waiting.append(sum(not hasattr(j, "out") for j in submitted))
+            return job
+
+        def grads():
+            ws = [Tensor(w, requires_grad=True) for w in w_data]
+            h = Tensor(x)
+            for w in ws:
+                h = T.matmul(h, w)
+            got = backward(T.reduce_sum(h))
+            return [got[w].tobytes() for w in ws]
+
+        monkeypatch.setattr(T, "_submit", slow_submit)
+        deferred = grads()
+        assert len(submitted) == len(w_data)
+        assert max(waiting) == T.DEFER_MAX_PENDING
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", math.inf)
+        assert deferred == grads()
+
+    def test_map_does_not_keep_the_tape_alive_with_deferred_products(self, monkeypatch):
+        """The worker lets go of a product's arrays before ``backward`` returns."""
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", 0)
+        x = Tensor(np.arange(-6.0, 6.0).reshape(4, 3), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        hidden = T.relu(T.scale(x, 2.0))
+        probe = weakref.ref(hidden.data)
+        grads = backward(T.reduce_sum(T.matmul(hidden, w)))
+        del hidden
+        assert probe() is None
+        np.testing.assert_array_equal(grads[w], [[6.0, 6.0], [10.0, 10.0], [14.0, 14.0]])
+
+    def test_small_tavat_step_starts_no_thread(self, monkeypatch):
+        """At the c09 shapes no product clears the rule, so no worker is started."""
+        from tavat.adv import AdvConfig, tavat_batch_step
+        from tavat.model import ModelConfig, TextModel
+        from tavat.train import SGD
+        monkeypatch.setattr(T, "_jobs", None)
+        started = []
+        monkeypatch.setattr(T.threading, "Thread",
+                            lambda *a, **k: started.append(1) or threading.Thread(*a, **k))
+        model = TextModel(ModelConfig(vocab_size=56, dim=16, blocks=1, heads=2, ffn_dim=32,
+                                      max_len=24, classes=2), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        ids = rng.integers(4, 56, size=(32, 24))      # the longest batch the workload makes
+        batch = type("Batch", (), {"token_ids": ids, "mask": ids != 0,
+                                   "labels": rng.integers(0, 2, size=32), "size": 32})()
+        tavat_batch_step(model, batch, None, AdvConfig(use_vocab=False, K=2), SGD(0.01), rng)
+        assert started == [] and T._jobs is None
+
+    def test_forked_child_runs_a_backward_to_the_same_bytes(self, monkeypatch):
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", 0)
+        rng = np.random.default_rng(2)
+        data = rng.normal(size=(16, 8)), rng.normal(size=(8, 4))
+
+        def weight_grad():
+            w = Tensor(data[1], requires_grad=True)
+            return backward(T.reduce_sum(T.relu(T.matmul(Tensor(data[0]), w))))[w].tobytes()
+
+        here = weight_grad()        # the parent's worker is running from here on
+        assert T._jobs is not None
+        ours, theirs = multiprocessing.get_context("fork").Pipe()
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: theirs.send(weight_grad()))
+        child.start()
+        try:
+            assert ours.poll(10), "the forked child's backward did not return"
+            assert ours.recv() == here
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+
+    def test_threads_running_backward_at_once_get_their_own_maps(self, monkeypatch):
+        """Jobs of concurrent calls share one worker; each call waits for its own."""
+        monkeypatch.setattr(T, "DEFER_MIN_MADDS", 0)
+        rng = np.random.default_rng(5)
+        inputs = [(rng.normal(size=(12, 6)), rng.normal(size=(6, 4))) for _ in range(6)]
+
+        def weight_grads():
+            out = []
+            for x, w_data in inputs:
+                w = Tensor(w_data, requires_grad=True)
+                out.append(backward(T.reduce_sum(T.relu(T.matmul(Tensor(x), w))))[w].tobytes())
+            return out
+
+        want = weight_grads()
+        got = [None] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=lambda i=i: got.__setitem__(i, weight_grads()))
+                       for i in range(len(got))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * len(got)

@@ -108,7 +108,7 @@ class TestAllocatorPin:
         train(config)
         assert calls == [1]
 
-    def test_pin_sets_both_thresholds(self, monkeypatch):
+    def test_pin_sets_both_thresholds_and_one_arena(self, monkeypatch):
         calls = []
 
         def mallopt(param, value):
@@ -118,7 +118,7 @@ class TestAllocatorPin:
         monkeypatch.setattr(train_module.ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=mallopt))
         train_module._pin_allocator()
-        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
 
     def test_pin_is_quiet_without_mallopt(self, monkeypatch):
         monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: object())
@@ -404,6 +404,38 @@ class TestTrainBasics:
         assert plain.vocab_path is None
         assert sorted(p.name for p in (tmp_path / "novocab").iterdir()) == [
             "checkpoint.bin", "metrics.jsonl"]
+
+    @pytest.mark.parametrize("epochs_done", [0, 1])
+    def test_interrupted_run_leaves_a_checkpoint_and_vocabulary_pair(self, tmp_path,
+                                                                      monkeypatch, epochs_done):
+        """A run stopped in epoch ``epochs_done + 1`` leaves the pair of a run
+        of ``epochs_done`` epochs: after step zero, the checkpoint and no
+        vocabulary (an earlier run's is gone); after an epoch, both."""
+        whole = train(dataclasses.replace(quick_config(tmp_path, run_name="whole"),
+                                          epochs=epochs_done))
+        stopped = tmp_path / "stopped"
+        stopped.mkdir()
+        (stopped / "ptb_vocab.bin").write_bytes(whole.vocab_path.read_bytes() + b"stale")
+        real_save, real_step, saves = train_module.save_checkpoint, train_module.tavat_batch_step, []
+
+        def counting_save(model, path):
+            saves.append(path)
+            real_save(model, path)
+
+        def stopping_step(*args, **kwargs):
+            if len(saves) > epochs_done:
+                raise KeyboardInterrupt
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "save_checkpoint", counting_save)
+        monkeypatch.setattr(train_module, "tavat_batch_step", stopping_step)
+        with pytest.raises(KeyboardInterrupt):
+            train(dataclasses.replace(quick_config(tmp_path, run_name="stopped"), epochs=3))
+        assert (stopped / "checkpoint.bin").read_bytes() == whole.checkpoint_path.read_bytes()
+        if epochs_done:
+            assert (stopped / "ptb_vocab.bin").read_bytes() == whole.vocab_path.read_bytes()
+        else:
+            assert not (stopped / "ptb_vocab.bin").exists()
 
     def test_run_without_vocabulary_removes_an_earlier_one(self, tmp_path):
         """A reused run directory holds only what its latest run wrote."""
